@@ -15,6 +15,7 @@ package escape
 //	E10 BenchmarkE10FairAdmission
 //	E11 BenchmarkE11SouthboundPipeline
 //	E12 BenchmarkE12ObsOverhead
+//	E16 BenchmarkE16ViewRebuild
 //
 // Domain-specific results (acceptance ratios, footprints, backtracks) are
 // emitted with b.ReportMetric, so `go test -bench . -benchmem` prints the
@@ -104,7 +105,7 @@ func chainReqN(id string, sapA, sapB nffg.ID, k int, bw float64) *nffg.NFFG {
 // joint abstraction is cheap enough to recompute on demand).
 func BenchmarkE1ViewComputation(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256} {
-		dov := syntheticDov(n, 4)
+		dov := syntheticDov(n, 4).Seal() // virtualizers read sealed DoVs
 		for _, virt := range []core.Virtualizer{core.Transparent{}, core.DomainBiSBiS{}, core.SingleBiSBiS{}} {
 			b.Run(fmt.Sprintf("nodes=%d/%s", n, virt.Name()), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -1745,5 +1746,86 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 			}
 			b.ReportMetric(float64(kinds), "span-kinds/job")
 		}
+	})
+}
+
+// --- E16: view rebuild after a commit -------------------------------------------
+
+// benchE16RO builds the 100-domain scenario shape under one orchestrator with
+// the Transparent northbound view: one BiS-BiS per domain with `saps` user
+// SAPs, each on a duplex uplink (2·saps links per domain).
+func benchE16RO(b *testing.B, domains, saps int) *core.ResourceOrchestrator {
+	b.Helper()
+	ro := core.NewResourceOrchestrator(core.Config{ID: "ro", Virtualizer: core.Transparent{}})
+	for d := 0; d < domains; d++ {
+		name := fmt.Sprintf("dom%03d", d)
+		bb := nffg.ID(fmt.Sprintf("bb%03d", d))
+		bl := nffg.NewBuilder(name).BiSBiS(bb, name, saps+2,
+			nffg.Resources{CPU: 64, Mem: 65536, Storage: 256}, "firewall", "dpi", "nat")
+		for s := 0; s < saps; s++ {
+			sap := nffg.ID(fmt.Sprintf("d%03ds%d", d, s))
+			bl.SAP(sap).Link(fmt.Sprintf("u%03d-%d", d, s), sap, "1", bb, fmt.Sprint(s+1), 1000, 0.5)
+		}
+		lo, err := core.NewLocalOrchestrator(core.LocalConfig{ID: name, Substrate: bl.MustBuild()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ro.Attach(context.Background(), lo); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ro
+}
+
+// BenchmarkE16ViewRebuild measures the northbound view rebuild that follows
+// every commit: each iteration installs a 1-NF chain on one domain (a commit
+// bumps that shard's generation), reads VersionedView — a guaranteed cache
+// miss, so the all-shard cut is re-merged and re-virtualized — and removes
+// the chain again. Only the read is timed. us/rebuild is its wall-clock
+// cost; allocs/rebuild counts its heap allocations, which depend only on the
+// cut's shape and are the deterministic (gated) proxy for that cost.
+func BenchmarkE16ViewRebuild(b *testing.B) {
+	const domains, saps = 100, 10
+	b.Run(fmt.Sprintf("domains=%d", domains), func(b *testing.B) {
+		ro := benchE16RO(b, domains, saps)
+		ctx := context.Background()
+		before := ro.PipelineStats()
+		var ms0, ms1 runtime.MemStats
+		var allocs uint64
+		var rebuild time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d := i % domains
+			id := fmt.Sprintf("e16-%d", i)
+			nf := nffg.ID(id + "-nf")
+			in, out := nffg.ID(fmt.Sprintf("d%03ds0", d)), nffg.ID(fmt.Sprintf("d%03ds1", d))
+			req := nffg.NewBuilder(id).SAP(in).SAP(out).
+				NF(nf, "firewall", 2, nffg.Resources{CPU: 2, Mem: 512, Storage: 1}).
+				Chain(id, 1, 0, in, nf, out).MustBuild()
+			if _, err := ro.Install(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms0)
+			b.StartTimer()
+			start := time.Now()
+			if _, _, err := ro.VersionedView(ctx); err != nil {
+				b.Fatal(err)
+			}
+			rebuild += time.Since(start)
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			allocs += ms1.Mallocs - ms0.Mallocs
+			if err := ro.Remove(ctx, id); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.StopTimer()
+		if misses := ro.PipelineStats().ViewCache.Misses - before.ViewCache.Misses; misses != uint64(b.N) {
+			b.Fatalf("%d view-cache misses in %d rebuilds: the read must follow a commit", misses, b.N)
+		}
+		b.ReportMetric(float64(allocs)/float64(b.N), "allocs/rebuild")
+		b.ReportMetric(float64(rebuild.Microseconds())/float64(b.N), "us/rebuild")
 	})
 }

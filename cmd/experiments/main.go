@@ -128,7 +128,7 @@ func e1() {
 	header("E1 — virtualization view computation vs. resource-view size")
 	fmt.Printf("%-8s %-14s %-14s %-14s\n", "nodes", "transparent", "domain-bisbis", "single-bisbis")
 	for _, n := range []int{4, 16, 64, 256} {
-		dov := ringDov(n, 4)
+		dov := ringDov(n, 4).Seal() // virtualizers read sealed DoVs
 		row := fmt.Sprintf("%-8d", n)
 		for _, virt := range []core.Virtualizer{core.Transparent{}, core.DomainBiSBiS{}, core.SingleBiSBiS{}} {
 			const reps = 50

@@ -1227,7 +1227,8 @@ func (q *Queue) atCapLocked(tq *tenantQueue, popped map[*tenantQueue]int) bool {
 // backlogged — the "deficit" that makes the long-run share converge to the
 // weight ratio even when MaxBatch is smaller than one full round — and resets
 // when its queue drains. Tenants at their in-flight cap are skipped (earning
-// nothing: a capped tenant is not entitled to a catch-up burst). The rotation
+// nothing: a capped tenant is not entitled to a catch-up burst), and so are
+// tenants whose every queued job waits in a paused lane. The rotation
 // start advances once per call so the same tenant does not lead every window.
 //
 // FIFO mode (Options.DisableFairness) dispatches in strict global arrival
@@ -1271,6 +1272,12 @@ func (q *Queue) popLocked(max int) []*job {
 				continue
 			}
 			if q.atCapLocked(tq, popped) {
+				continue
+			}
+			if len(q.paused) > 0 && tq.headEligible(q.eligibleLocked) == nil {
+				// Every queued job sits in a paused lane: like a capped
+				// tenant, it earns nothing, or each dispatcher wakeup during
+				// the pause would bank a burst for when it lifts.
 				continue
 			}
 			tq.deficit += tq.weight

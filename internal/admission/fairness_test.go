@@ -85,9 +85,14 @@ func tenantCtx(tenant string) context.Context {
 }
 
 // TestDWRRWeightShare: with tenant weights 3:1 and both backlogged, every
-// scheduling window carries jobs in the weight ratio. The large window lets
-// all submissions land before the first pop, so the batch compositions are
-// deterministic.
+// scheduling window carries jobs in the weight ratio. Dispatch is held by a
+// pause until all 24 submissions have landed, so the batch compositions are
+// deterministic: a coalescing window alone is not enough, because take()
+// skips the window once the queue holds MaxBatch jobs, and a dispatcher
+// waking after the eighth heavy submit would pop them before any light job
+// exists. The pause must not bank credit either (a tenant whose every job is
+// paused earns none), or the first window after the resume would depend on
+// how often the dispatcher woke during the hold.
 func TestDWRRWeightShare(t *testing.T) {
 	stub := &stubLayer{}
 	q := New(stub, Options{
@@ -96,6 +101,10 @@ func TestDWRRWeightShare(t *testing.T) {
 		TenantWeights: map[string]int{"heavy": 3, "light": 1},
 	})
 	defer q.Close()
+	// The stub layer is no Sharder, so every job is global and a pause on
+	// any lane holds all of them.
+	const hold = "hold"
+	q.PauseShards([]string{hold})
 
 	var ids []string
 	submit := func(tenant, id string) {
@@ -112,6 +121,7 @@ func TestDWRRWeightShare(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		submit("light", "l-"+string(rune('a'+i)))
 	}
+	q.ResumeShards([]string{hold})
 	for _, id := range ids {
 		if j, err := q.Wait(context.Background(), id); err != nil || j.State != StateDeployed {
 			t.Fatalf("job %s: %v %v", id, j.State, err)

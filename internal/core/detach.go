@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"log"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
 	"github.com/unify-repro/escape/internal/domain"
+	"github.com/unify-repro/escape/internal/embed"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/unify"
 )
@@ -55,9 +57,11 @@ type DetachReport struct {
 //
 // Concurrency: in-flight installs that touched the shard lose their commit
 // race (the final generation bump below) and re-plan against the post-detach
-// directory; installs already committed but not yet deployed fail their
-// southbound fan-out on the departed child and self-release. Readers keep
-// serving consistent pre-detach cuts until their next directory fetch.
+// directory; installs already committed but not yet deployed have their
+// DoV reservation released here, together with the directory swap, and fail
+// their deployment. Readers keep serving consistent pre-detach cuts until
+// their next directory fetch, and never see a survivor holding a slice of a
+// service whose other slice left with the shard.
 //
 // Crash note: the detach journal record is appended after the displaced
 // services' release records so replay frees survivors' resources before
@@ -67,60 +71,124 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ro.mu.Lock()
-	key, ok := ro.dir.childShard[child]
-	if !ok {
+	// Lock order: shard mutexes (key order) before ro.mu. Detach holds EVERY
+	// shard of the directory across the directory swap, the survivors'
+	// releases and the final generation bump, so all of it is one atomic
+	// step for readers and committers: a commit touching the departing shard
+	// either finished before we got its lock (its service is in the table
+	// and released below) or validates its generation after our bump, loses,
+	// and re-plans against the post-detach directory; and no cut ever shows a
+	// survivor still holding resources of a service whose other slice left
+	// with the shard.
+	var dir *shardDirectory
+	var locked []*shard
+	for attempt := 1; ; attempt++ {
+		dir, _ = ro.snapshotDir()
+		locked = dir.ordered(dir.keys)
+		lockAll(locked)
+		ro.mu.Lock()
+		if ro.dir == dir {
+			break
+		}
 		ro.mu.Unlock()
+		unlockAll(locked)
+		if attempt == MaxMapAttempts {
+			return nil, fmt.Errorf("%w: fleet membership changed during detach of %s", unify.ErrBusy, child)
+		}
+	}
+	unlock := func() {
+		ro.mu.Unlock()
+		unlockAll(locked)
+	}
+	key, ok := dir.childShard[child]
+	if !ok {
+		unlock()
 		return nil, fmt.Errorf("core: detach %s: %w", child, domain.ErrUnknown)
 	}
-	sh := ro.dir.shards[key]
-	if others := exclude(ro.dir.domains[key], child); len(others) > 0 {
-		ro.mu.Unlock()
+	sh := dir.shards[key]
+	if others := exclude(dir.domains[key], child); len(others) > 0 {
+		unlock()
 		return nil, fmt.Errorf("core: detach %s: shard %s also hosts %v — runtime detach requires per-domain sharding", child, key, others)
-	}
-	ro.mu.Unlock()
-
-	// Lock order: shard mutex before ro.mu. Holding sh.mu across the
-	// directory swap AND the generation bump is what makes the detach atomic
-	// against the commit path: any commit touching this shard either finished
-	// before we got the lock (its service is in the table and displaced
-	// below) or validates its generation after our bump, loses, and re-plans
-	// against the post-detach directory.
-	sh.mu.Lock()
-	ro.mu.Lock()
-	if ro.dir.childShard[child] != key || ro.dir.shards[key] != sh {
-		ro.mu.Unlock()
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: fleet membership changed during detach of %s", unify.ErrBusy, child)
 	}
 
 	// Displace every deployed service whose embedding touched the shard (or
-	// that installed sub-services on the child). Marking them stateRemoving
-	// excludes concurrent Remove/Detach; pending installs are left alone —
-	// they either lose the commit race or fail their fan-out and self-clean.
+	// that installed sub-services on the child); marking them stateRemoving
+	// excludes concurrent Remove/Detach. Release the surviving-shard slices
+	// of every committed service the departure breaks — displaced ones, but
+	// also installs still deploying and removals still tearing down, whose
+	// own release would otherwise land after the shard is gone (or on a
+	// re-attached shard of the same key). Their owners see rec.released and
+	// skip it; an install still deploying fails (see runGroup).
 	type displaced struct {
 		id  string
 		rec *serviceRecord
 	}
 	var evicted []displaced
+	var releasedIDs []string
+	bySurvivor := map[string][]displaced{}
 	for id, rec := range ro.services {
-		if rec.state != stateReady {
-			continue
-		}
-		if slices.Contains(rec.shards, key) || len(rec.children[child]) > 0 {
+		touches := rec.mapping != nil && slices.Contains(rec.shards, key)
+		if rec.state == stateReady && (touches || len(rec.children[child]) > 0) {
 			rec.state = stateRemoving
 			evicted = append(evicted, displaced{id: id, rec: rec})
+			touches = rec.mapping != nil
+		}
+		if !touches || rec.released {
+			continue
+		}
+		rec.released = true
+		releasedIDs = append(releasedIDs, id)
+		for _, k := range rec.shards {
+			if k != key {
+				bySurvivor[k] = append(bySurvivor[k], displaced{id: id, rec: rec})
+			}
 		}
 	}
 	slices.SortFunc(evicted, func(a, b displaced) int {
 		return strings.Compare(a.id, b.id)
 	})
+	sort.Strings(releasedIDs)
+	if len(bySurvivor) > 0 {
+		epoch := ro.bumpEpoch()
+		for _, s := range locked {
+			svcs := bySurvivor[s.key]
+			if len(svcs) == 0 {
+				continue
+			}
+			slices.SortFunc(svcs, func(a, b displaced) int {
+				return strings.Compare(a.id, b.id)
+			})
+			ids := make([]string, len(svcs))
+			for i, d := range svcs {
+				ids[i] = d.id
+			}
+			if s.dov != nil {
+				next := s.dov.Copy()
+				for _, d := range svcs {
+					if err := embed.Release(next, d.rec.mapping); err != nil {
+						log.Printf("core %s: detach %s: release %s on %s: %v", ro.id, child, d.id, s.key, err)
+					}
+				}
+				s.dov = next.Seal()
+			}
+			s.gen++
+			s.commits++
+			if ro.journal != nil {
+				if err := ro.journal.LogRelease(s.key, s.gen, epoch, ids); err != nil {
+					ro.stats.journalErrs.Add(1)
+					log.Printf("core %s: journal release %v on %s: %v", ro.id, ids, s.key, err)
+				} else {
+					s.journalRecs++
+				}
+			}
+		}
+	}
 
-	dir := ro.dir.clone()
-	delete(dir.childShard, child)
-	delete(dir.shards, key)
-	delete(dir.domains, key)
-	dir.keys = exclude(dir.keys, key)
+	next := dir.clone()
+	delete(next.childShard, child)
+	delete(next.shards, key)
+	delete(next.domains, key)
+	next.keys = exclude(next.keys, key)
 	owner := make(map[nffg.ID]string, len(ro.owner))
 	for k, v := range ro.owner {
 		if v != child {
@@ -134,10 +202,16 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 		}
 	}
 	departedNodes := ro.contrib[key].nodes
-	// Resume point for a future re-attach of this key: generations must keep
-	// rising across the cycle (sh.gen is bumped right below).
-	ro.lastGen[key] = sh.gen + 1
-	ro.dir, ro.owner, ro.contrib = dir, owner, contrib
+	// Final generation bump: in-flight optimistic commits against the old
+	// cut now fail validation and re-snapshot. No journal record yet — the
+	// detach record must order after the displaced services' teardown.
+	sh.gen++
+	sh.commits++
+	finalGen := sh.gen
+	// A future re-attach of this key resumes past the final generation (see
+	// Attach): generations must keep rising across the cycle.
+	ro.lastGen[key] = finalGen
+	ro.dir, ro.owner, ro.contrib = next, owner, contrib
 	ro.rebuildIndexLocked()
 	// Tombstone the nodes nobody answers for anymore; shared border SAPs a
 	// surviving child still exports stay in the index and need none.
@@ -146,24 +220,14 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 			ro.departed[node] = child
 		}
 	}
-	ro.mu.Unlock()
-
-	// Final generation bump: in-flight optimistic commits against the old
-	// cut now fail validation and re-snapshot. No journal record yet — the
-	// detach record must order after the displaced services' releases.
-	sh.gen++
-	sh.commits++
-	finalGen := sh.gen
-	sh.mu.Unlock()
+	unlock()
 
 	if err := ro.reg.Deregister(child); err != nil && !errors.Is(err, domain.ErrUnknown) {
 		log.Printf("core %s: detach %s: deregister: %v", ro.id, child, err)
 	}
 
 	report := &DetachReport{Child: child, Shard: key}
-	displacedIDs := make([]string, 0, len(evicted))
 	for _, ev := range evicted {
-		displacedIDs = append(displacedIDs, ev.id)
 		ds := DisplacedService{ServiceID: ev.id, Children: map[string][]string{}}
 		if ev.rec.mapping != nil && ev.rec.mapping.Request != nil {
 			ds.Request = ev.rec.mapping.Request.Copy()
@@ -187,8 +251,8 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 
 	// Tear the displaced services down on the surviving children (the
 	// departed child is unreachable; whatever it still holds dies with it).
-	// Best-effort: a failed teardown is logged, the DoV release below still
-	// frees the survivors' capacity for the re-embedding.
+	// Best-effort: a failed teardown is logged; the survivors' DoV capacity
+	// was already freed for the re-embedding above.
 	var wg sync.WaitGroup
 	for _, ev := range evicted {
 		for childID, subIDs := range ev.rec.children {
@@ -213,22 +277,19 @@ func (ro *ResourceOrchestrator) Detach(ctx context.Context, child string) (*Deta
 	}
 	wg.Wait()
 
-	// Release the displaced services' DoV resources on surviving shards and
-	// drop their reservations; the dropped shard's share dies with the shard.
+	// Drop the displaced services' reservations (their DoV resources were
+	// released above; the dropped shard's share died with the shard).
+	ro.mu.Lock()
 	for _, ev := range evicted {
-		if surviving := exclude(ev.rec.shards, key); len(surviving) > 0 && ev.rec.mapping != nil {
-			if err := ro.releaseShards(ev.id, ev.rec.mapping, surviving); err != nil {
-				log.Printf("core %s: detach %s: release %s: %v", ro.id, child, ev.id, err)
-			}
-		}
-		ro.mu.Lock()
 		ro.dropReservationsLocked(ev.id, ev.rec)
-		ro.mu.Unlock()
 	}
+	ro.mu.Unlock()
 
+	// The record lists every released service, so replay drops the table
+	// entries of deploying installs whose only slice left with the shard.
 	epoch := ro.bumpEpoch()
 	if ro.journal != nil {
-		if err := ro.journal.LogDetach(key, finalGen, epoch, child, true, displacedIDs); err != nil {
+		if err := ro.journal.LogDetach(key, finalGen, epoch, child, true, releasedIDs); err != nil {
 			ro.stats.journalErrs.Add(1)
 			log.Printf("core %s: journal detach %s: %v", ro.id, child, err)
 		}

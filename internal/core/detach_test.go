@@ -165,12 +165,16 @@ func TestDetachReattachCycle(t *testing.T) {
 	ro, _ := lineRO(t, 3, 0, nil)
 
 	ro.mu.Lock()
-	genBefore := ro.dir.shards["d2"].gen
+	dropped := ro.dir.shards["d2"]
+	genBefore := dropped.gen
 	ro.mu.Unlock()
 
 	if _, err := ro.Detach(context.Background(), "d2"); err != nil {
 		t.Fatal(err)
 	}
+	dropped.mu.Lock()
+	finalGen := dropped.gen
+	dropped.mu.Unlock()
 	// Re-attach a fresh leaf under the same name: the tombstones clear and
 	// the shard's generation resumes past the detached one (the journal
 	// replay contract — per-shard records stay gen-monotone forever).
@@ -186,6 +190,13 @@ func TestDetachReattachCycle(t *testing.T) {
 	ro.mu.Unlock()
 	if genAfter <= genBefore {
 		t.Fatalf("shard generation regressed across detach/attach: %d -> %d", genBefore, genAfter)
+	}
+	// The fresh shard is published (still empty) one generation before its
+	// first merge. That generation must not repeat the dropped shard's final
+	// one, or a reader's cached cut of the dropped shard would be served —
+	// and planned on — as the cut of the empty one.
+	if genAfter-1 <= finalGen {
+		t.Fatalf("re-attached shard published at generation %d, dropped shard ended at %d", genAfter-1, finalGen)
 	}
 	checkDetachInvariants(t, ro)
 
@@ -321,6 +332,67 @@ flap:
 		if err := ro.Remove(ctx, id); err != nil && !errors.Is(err, unify.ErrUnknownService) {
 			t.Fatalf("drain %s: %v", id, err)
 		}
+	}
+	checkDetachInvariants(t, ro)
+}
+
+// gatedProgrammer blocks every device commit until gate closes, signaling
+// each arrival on entered.
+type gatedProgrammer struct {
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (p *gatedProgrammer) Commit(ctx context.Context, _ *nffg.Delta, _ *nffg.NFFG) error {
+	p.entered <- struct{}{}
+	select {
+	case <-p.gate:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestDetachReleasesDeployingInstall: a service committed across two shards
+// (hops recorded on d2, its NF on d3) is still deploying when d3 detaches.
+// The detach must release the surviving d2 slice in the same step as the
+// directory swap — no reader may see d2's hop records without their NF — and
+// the install, whose leaf then finishes, must fail typed and leave nothing
+// behind instead of becoming a ready service without a DoV reservation.
+func TestDetachReleasesDeployingInstall(t *testing.T) {
+	prog := &gatedProgrammer{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	ro, los := lineRO(t, 4, 0, map[int]Programmer{3: prog})
+	ctx := context.Background()
+
+	req := chainReq(t, "span", "b1", "sap2", "fw")
+	req.NFs["span-nf"].Host = "bisbis@d3"
+	done := make(chan error, 1)
+	go func() {
+		_, err := ro.Install(ctx, req)
+		done <- err
+	}()
+	<-prog.entered // committed on d2+d3; d3's leaf is programming
+
+	if _, err := ro.Detach(ctx, "d3"); err != nil {
+		t.Fatal(err)
+	}
+	dov := mustDoV(t, ro)
+	if err := dov.Validate(); err != nil {
+		t.Fatalf("cut after detach is torn: %v", err)
+	}
+	for _, h := range dov.Hops {
+		t.Errorf("survivor kept hop %s of the deploying service", h.ID)
+	}
+
+	close(prog.gate)
+	if err := <-done; !errors.Is(err, unify.ErrDomainUnavailable) {
+		t.Fatalf("install across a detached domain: got %v, want ErrDomainUnavailable", err)
+	}
+	if svcs := ro.Services(); len(svcs) != 0 {
+		t.Fatalf("services after the failed install: %v", svcs)
+	}
+	if svcs := los[2].Services(); len(svcs) != 0 {
+		t.Fatalf("survivor d2 kept sub-services: %v", svcs)
 	}
 	checkDetachInvariants(t, ro)
 }

@@ -89,9 +89,10 @@ type ResourceOrchestrator struct {
 	// re-attach contributing the node clears its tombstone. Guarded by mu.
 	departed map[nffg.ID]string
 	// lastGen remembers the final generation of every shard a Detach dropped,
-	// so a re-attach of the same key resumes counting instead of restarting
-	// at zero — per-shard journal records must stay gen-monotone across
-	// detach/attach cycles (see internal/journal replay). Guarded by mu.
+	// so a re-attach of the same key resumes counting past it instead of
+	// restarting at zero — per-shard journal records must stay gen-monotone
+	// across detach/attach cycles (see internal/journal replay), and cut
+	// generation vectors must never repeat. Guarded by mu.
 	lastGen map[string]uint64
 
 	// gate, when set (see SetDomainGate), vets child availability on the
@@ -208,6 +209,11 @@ type serviceRecord struct {
 	// resNFs/resHops are the identifiers reserved in nfOwner/hopOwner.
 	resNFs  []nffg.ID
 	resHops []string
+	// released marks a committed record whose DoV reservation has already
+	// been returned — by its own release or by a Detach that dropped one of
+	// its shards — so a second release never runs (releaseService). Set
+	// under ro.mu while the releaser holds the released shards' locks.
+	released bool
 }
 
 // Config configures a ResourceOrchestrator.
@@ -385,8 +391,12 @@ func (ro *ResourceOrchestrator) Attach(ctx context.Context, d domain.Domain) err
 		if last, ok := ro.lastGen[key]; ok {
 			// The key was detached before: resume its generation counter so
 			// the shard's journal records stay gen-monotone across the
-			// detach/attach cycle (replay relies on it).
-			sh.gen, sh.commits = last, last
+			// detach/attach cycle (replay relies on it). Start strictly past
+			// the dropped shard's final generation: this shard is published
+			// below before its first merge, and a (key, generation) pair
+			// naming two different graphs would let a cached cut — and the
+			// ETag — of the dropped shard stand for this one.
+			sh.gen, sh.commits = last+1, last+1
 		}
 		dir.shards[key] = sh
 		dir.keys = append(dir.keys, key)
@@ -1341,26 +1351,45 @@ func (bc *batchRun) runGroup(ctx context.Context, idx []int, keys []string, mayE
 			dctx := obs.Narrow(ctx, len(bc.reqs), []int{i})
 			children := sortedKeys(p.subs)
 			receipts, err := ro.deployChildren(dctx, children, p.subs)
+			rec := bc.records[i]
+			var receipt *unify.Receipt
+			childSubs := make(map[string][]string, len(children))
+			if err == nil {
+				receipt = buildReceipt(bc.reqs[i].ID, p.mapping, children, receipts)
+				ro.mu.Lock()
+				// Checked in the same critical section that publishes the
+				// service, so a Detach either released it while pending
+				// (seen here) or finds it ready and displaces it.
+				if rec.released {
+					ro.mu.Unlock()
+					// A Detach dropped one of the service's shards while it
+					// deployed and released its reservation: the service can
+					// no longer run as mapped.
+					landed := make([]bool, len(children))
+					for k := range landed {
+						landed[k] = true
+					}
+					ro.rollbackChildren(dctx, children, p.subs, landed)
+					err = fmt.Errorf("%w: a domain of service %s detached during deployment", unify.ErrDomainUnavailable, bc.reqs[i].ID)
+				} else {
+					rec.mapping = p.mapping
+					rec.shards = p.touched
+					for _, childID := range children {
+						rec.children[childID] = append(rec.children[childID], p.subs[childID].ID)
+						childSubs[childID] = append([]string(nil), rec.children[childID]...)
+					}
+					rec.receipt = receipt
+					rec.state = stateReady
+					ro.mu.Unlock()
+				}
+			}
 			if err != nil {
-				if rerr := ro.releaseShards(bc.reqs[i].ID, p.mapping, p.touched); rerr != nil {
+				if rerr := ro.releaseService(bc.reqs[i].ID, rec); rerr != nil {
 					log.Printf("core %s: releasing aborted install %s: %v", ro.id, bc.reqs[i].ID, rerr)
 				}
 				bc.abort(i, err)
 				return
 			}
-			receipt := buildReceipt(bc.reqs[i].ID, p.mapping, children, receipts)
-			childSubs := make(map[string][]string, len(children))
-			ro.mu.Lock()
-			rec := bc.records[i]
-			rec.mapping = p.mapping
-			rec.shards = p.touched
-			for _, childID := range children {
-				rec.children[childID] = append(rec.children[childID], p.subs[childID].ID)
-				childSubs[childID] = append([]string(nil), rec.children[childID]...)
-			}
-			rec.receipt = receipt
-			rec.state = stateReady
-			ro.mu.Unlock()
 			// The commit bump fired before the deploy finished, so a watcher
 			// woken by it read Services() without this entry. Advance the
 			// table version now that the service is northbound-visible so
@@ -1525,12 +1554,22 @@ func (ro *ResourceOrchestrator) deployChildren(ctx context.Context, children []s
 	if firstErr == nil {
 		return receipts, nil
 	}
-	// Roll back whatever landed, in parallel, detached from the canceled
-	// deploy context so teardown still runs after a northbound cancellation.
+	landed := make([]bool, len(children))
+	for i := range children {
+		landed[i] = receipts[i] != nil && errs[i] == nil
+	}
+	ro.rollbackChildren(ctx, children, subs, landed)
+	return nil, firstErr
+}
+
+// rollbackChildren removes the sub-services that landed on their children,
+// in parallel, detached from ctx's cancellation so teardown still runs after
+// a northbound cancellation.
+func (ro *ResourceOrchestrator) rollbackChildren(ctx context.Context, children []string, subs map[string]*nffg.NFFG, landed []bool) {
 	rctx := context.WithoutCancel(ctx)
 	var rb sync.WaitGroup
 	for i, childID := range children {
-		if receipts[i] == nil || errs[i] != nil {
+		if !landed[i] {
 			continue
 		}
 		rb.Add(1)
@@ -1547,7 +1586,6 @@ func (ro *ResourceOrchestrator) deployChildren(ctx context.Context, children []s
 		}(childID, subs[childID].ID)
 	}
 	rb.Wait()
-	return nil, firstErr
 }
 
 // pickRootCause selects the error to surface from a fan-out: the first
@@ -1575,18 +1613,28 @@ func pickRootCause(children []string, errs []error) error {
 	return first
 }
 
-// releaseShards returns a mapping's resources to the shards it occupies
-// (copy-on-write: each shard's release runs on a copy that replaces the
-// current snapshot under the shard's lock; the shards are locked together in
-// key order so the release is observed atomically).
-func (ro *ResourceOrchestrator) releaseShards(serviceID string, mp *embed.Mapping, keys []string) error {
+// releaseService returns a committed service's resources to the shards its
+// mapping occupies (copy-on-write: each shard's release runs on a copy that
+// replaces the current snapshot under the shard's lock; the shards are locked
+// together in key order so the release is observed atomically). It runs at
+// most once per record: the claim on rec.released is taken under the shard
+// locks, which serializes it with a Detach that releases the record itself.
+func (ro *ResourceOrchestrator) releaseService(serviceID string, rec *serviceRecord) error {
 	dir, _ := ro.snapshotDir()
+	ro.mu.Lock()
+	mp, keys := rec.mapping, rec.shards
+	ro.mu.Unlock()
 	shs := dir.ordered(keys)
-	if len(shs) == 0 {
+	lockAll(shs)
+	ro.mu.Lock()
+	done := rec.released
+	rec.released = true
+	ro.mu.Unlock()
+	if done || len(shs) == 0 {
+		unlockAll(shs)
 		return nil
 	}
 	var firstErr error
-	lockAll(shs)
 	epoch := ro.bumpEpoch()
 	for _, s := range shs {
 		if s.dov != nil {
@@ -1682,13 +1730,13 @@ func (ro *ResourceOrchestrator) Remove(ctx context.Context, serviceID string) er
 		ro.mu.Unlock()
 		return firstErr
 	}
-	if err := ro.releaseShards(serviceID, rec.mapping, rec.shards); err != nil {
+	if err := ro.releaseService(serviceID, rec); err != nil {
 		firstErr = err
 	}
 	ro.mu.Lock()
 	ro.dropReservationsLocked(serviceID, rec)
 	ro.mu.Unlock()
-	// releaseShards bumped before the record dropped; watchers woken there
+	// releaseService bumped before the record dropped; watchers woken there
 	// could still list the service. Advance the table version so the stream
 	// converges on the post-removal service table.
 	ro.bumpTable()

@@ -8,16 +8,21 @@ package core
 // shard gen under its lock):
 //
 //   - the cut cache holds the merged all-shard consistent cut, so DoV() and
-//     batch planning skip nffg.Merge entirely while no shard committed;
+//     batch planning skip the merge entirely while no shard committed;
 //   - the view cache holds the virtualizer's output over that cut, so View()
 //     is a pointer return on the steady state.
 //
 // Cached graphs are Sealed (see nffg.Seal): one immutable graph is shared by
 // every reader instead of being defensively copied per call, and a reader
-// that needs to mutate copies lazily. A commit invalidates both caches
-// implicitly — it bumps its shards' generations, so the next read's vector no
-// longer matches and the cut is rebuilt; there is no explicit invalidation
-// hook to forget.
+// that needs to mutate copies lazily. Sealing reaches down to the elements,
+// so a rebuild shares them too: the merged cut (nffg.Union) aliases the
+// sealed shard snapshots' nodes, links and hops, and the Transparent view is
+// a renamed alias of the cut. A miss therefore costs one linear pass over the
+// cut and no deep copy.
+//
+// A commit invalidates both caches implicitly — it bumps its shards'
+// generations, so the next read's vector no longer matches and the cut is
+// rebuilt; there is no explicit invalidation hook to forget.
 //
 // The same attach-time bookkeeping also maintains the reverse index (view
 // node -> owning shards) that lets ShardSet narrow requests without reading
@@ -101,21 +106,19 @@ func (ro *ResourceOrchestrator) currentCut() (graphs []*nffg.NFFG, vec genVec) {
 	return graphs, genVec{keys: keys, gens: gens}
 }
 
-// mergeCut merges the live graphs of one cut into a fresh pre-sized graph —
-// the uncached merge shared by the cut cache and scoped (narrowed-group)
+// mergeCut merges the live graphs of one cut into one sealed graph — the
+// uncached merge shared by the cut cache and scoped (narrowed-group)
 // planning. Returns nil when no graph is live, and the single live graph
-// itself (a sealed shard snapshot) when there is exactly one. A merge
-// failure (colliding shard exports) is surfaced to the caller and counted in
+// itself (a sealed shard snapshot) when there is exactly one. Otherwise the
+// cut is an nffg.Union: one linear pass that shares the sealed shard
+// snapshots' elements instead of copying them. A merge failure (colliding
+// shard exports) is surfaced to the caller and counted in
 // PipelineStats.MergeErrors instead of silently serving an incomplete cut.
 func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG) (*nffg.NFFG, error) {
-	var live []*nffg.NFFG
-	nInfras, nNFs, nSAPs := 0, 0, 0
+	live := make([]*nffg.NFFG, 0, len(graphs))
 	for _, g := range graphs {
 		if g != nil {
 			live = append(live, g)
-			nInfras += len(g.Infras)
-			nNFs += len(g.NFs)
-			nSAPs += len(g.SAPs)
 		}
 	}
 	switch len(live) {
@@ -124,17 +127,12 @@ func (ro *ResourceOrchestrator) mergeCut(id string, graphs []*nffg.NFFG) (*nffg.
 	case 1:
 		return live[0], nil
 	}
-	m := nffg.NewSized(id, nInfras, nNFs, nSAPs)
-	for _, g := range live {
-		if err := m.Merge(g); err != nil {
-			ro.stats.mergeErrors.Add(1)
-			return nil, fmt.Errorf("core %s: merging shard views: %w", ro.id, err)
-		}
+	m, err := nffg.Union(id, live...)
+	if err != nil {
+		ro.stats.mergeErrors.Add(1)
+		return nil, fmt.Errorf("core %s: merging shard views: %w", ro.id, err)
 	}
-	// Sealed here, before the graph can escape to another goroutine: every
-	// return path of mergeCut hands out a sealed (or nil) graph, and re-
-	// sealing a shared snapshot later would be a racy write.
-	return m.Seal(), nil
+	return m, nil
 }
 
 // mergedFromCut returns the merged graph of a full-DoV cut, served from the

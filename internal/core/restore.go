@@ -270,8 +270,9 @@ func (ro *ResourceOrchestrator) ShardSnapshots() []journal.ShardSnapshot {
 		// A record without a mapping has not committed yet — its commit
 		// record (if any lands) replays from the WAL. Removing services are
 		// kept: if the release never commits before a crash, the resources
-		// are still held and the service must stay removable.
-		if rec.mapping == nil || len(rec.shards) == 0 {
+		// are still held and the service must stay removable. A released
+		// record holds nothing anymore and is on its way out of the table.
+		if rec.mapping == nil || len(rec.shards) == 0 || rec.released {
 			continue
 		}
 		children := make(map[string][]string, len(rec.children))

@@ -22,7 +22,9 @@ import (
 type Virtualizer interface {
 	// Name identifies the virtualization policy.
 	Name() string
-	// View derives the client view from the global resource view.
+	// View derives the client view from the global resource view. dov is a
+	// sealed graph (a shard snapshot or a merged cut); the view may share
+	// its elements, so it must be treated as sealed as well.
 	View(dov *nffg.NFFG) (*nffg.NFFG, error)
 	// Scope expands a view node to the underlying DoV nodes it stands for.
 	// nil means the node is unknown to this virtualizer.
@@ -41,14 +43,13 @@ type Transparent struct{}
 // Name implements Virtualizer.
 func (Transparent) Name() string { return "transparent" }
 
-// View implements Virtualizer.
+// View implements Virtualizer: the view is the sealed DoV itself under the
+// view's ID — a shallow alias, so deriving it copies nothing.
 func (Transparent) View(dov *nffg.NFFG) (*nffg.NFFG, error) {
 	if len(dov.Infras) == 0 {
 		return nil, ErrEmptyView
 	}
-	v := dov.Copy()
-	v.ID = dov.ID + "/view"
-	return v, nil
+	return dov.Alias(dov.ID + "/view"), nil
 }
 
 // Scope implements Virtualizer: every view node is exactly one DoV node.

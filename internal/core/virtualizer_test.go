@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/unify-repro/escape/internal/nffg"
@@ -33,7 +34,7 @@ func twoDomainDov(t testing.TB) *nffg.NFFG {
 }
 
 func TestTransparentView(t *testing.T) {
-	dov := twoDomainDov(t)
+	dov := twoDomainDov(t).Seal()
 	v, err := Transparent{}.View(dov)
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +42,24 @@ func TestTransparentView(t *testing.T) {
 	if len(v.Infras) != 4 || len(v.SAPs) != 3 {
 		t.Fatalf("transparent view must be 1:1: %s", v.Summary())
 	}
-	// Mutating the view must not touch the DoV.
-	v.Infras["a1"].Capacity.CPU = 0
+	// The view is the sealed DoV under the view's ID: same content, shared
+	// elements, nothing copied.
+	if v.ID != dov.ID+"/view" || !v.Sealed() || dov.ID != "dov" {
+		t.Fatalf("view identity: view %q sealed=%v, dov %q", v.ID, v.Sealed(), dov.ID)
+	}
+	if v.Infras["a1"] != dov.Infras["a1"] {
+		t.Fatal("transparent view must share the sealed DoV's elements")
+	}
+	want := dov.Copy()
+	want.ID = v.ID
+	if got, exp := mustJSON(t, v), mustJSON(t, want); got != exp {
+		t.Fatalf("view bytes differ from a renamed copy of the DoV:\n%s\n%s", got, exp)
+	}
+	// Mutating goes through Copy, which must not touch the DoV.
+	c := v.Copy()
+	c.Infras["a1"].Capacity.CPU = 0
 	if dov.Infras["a1"].Capacity.CPU != 8 {
-		t.Fatal("view aliases DoV")
+		t.Fatal("a copy of the view aliases the DoV")
 	}
 	sc := Transparent{}.Scope(dov, "a1")
 	if len(sc) != 1 || sc[0] != "a1" {
@@ -150,4 +165,14 @@ func TestViewsRejectEmptyDov(t *testing.T) {
 			t.Fatalf("%s should reject empty DoV: %v", virt.Name(), err)
 		}
 	}
+}
+
+// mustJSON encodes g with the northbound codec.
+func mustJSON(t testing.TB, g *nffg.NFFG) string {
+	t.Helper()
+	var b strings.Builder
+	if err := g.EncodeJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

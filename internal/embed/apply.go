@@ -77,6 +77,10 @@ func applyScoped(dst, ref *nffg.NFFG, mp *Mapping, bookkeeping bool) error {
 			ID: id, Name: nf.Name, FunctionalType: nf.FunctionalType,
 			DeployType: nf.DeployType, Demand: nf.Demand,
 			Host: host, Status: nffg.StatusMapped,
+			// Never nil, even for a port-less NF: shard snapshots hold the
+			// same shapes Copy produces, so the DoV that shares their
+			// elements encodes exactly like a deep-copied one.
+			Ports: make([]*nffg.Port, 0, len(nf.Ports)),
 		}
 		for _, p := range nf.Ports {
 			cp := *p

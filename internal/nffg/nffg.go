@@ -224,8 +224,16 @@ type NFFG struct {
 // after Seal the graph must never be mutated again. Copy always returns an
 // unsealed graph — callers that need to mutate a sealed view copy first.
 //
+// Sealing covers the elements too: the nodes, ports, links, hops and
+// requirements of a sealed graph are immutable, and other sealed graphs may
+// share them (Union and Alias do, so a DoV rebuild copies nothing). Copy is
+// therefore the only way to obtain something mutable from a sealed graph —
+// writing a field of an element reached through one would change every graph
+// that shares it.
+//
 // The discipline is enforced in race and nffg_sealcheck builds, where every
 // mutator panics on a sealed graph; release builds compile the check away.
+// Direct field writes on elements bypass the mutators and are not caught.
 // Seal must happen-before the graph is published to other goroutines (the
 // caches publish through atomics, which gives that ordering for free).
 func (g *NFFG) Seal() *NFFG {
@@ -236,10 +244,30 @@ func (g *NFFG) Seal() *NFFG {
 // Sealed reports whether the graph is a shared read-only snapshot.
 func (g *NFFG) Sealed() bool { return g.sealed }
 
+// Alias returns a sealed shallow alias of the sealed graph g under another
+// ID: the alias shares every map, slice and element with g, which is safe
+// only because neither may be mutated (g must be sealed; checked in
+// seal-check builds).
+func (g *NFFG) Alias(id string) *NFFG {
+	g.mustSealed("Alias")
+	a := *g
+	a.ID = id
+	a.sealed = true
+	return &a
+}
+
 // mustMutable is the per-mutator seal assertion (free in release builds).
 func (g *NFFG) mustMutable(op string) {
 	if sealCheckEnabled && g.sealed {
 		panic("nffg: " + op + " on sealed graph " + g.ID + " (Copy before mutating a shared snapshot)")
+	}
+}
+
+// mustSealed asserts that an operation about to share g's elements got a
+// sealed graph (free in release builds).
+func (g *NFFG) mustSealed(op string) {
+	if sealCheckEnabled && !g.sealed {
+		panic("nffg: " + op + " of unsealed graph " + g.ID + " (only sealed graphs may share their elements)")
 	}
 }
 

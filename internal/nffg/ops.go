@@ -169,55 +169,145 @@ func (g *NFFG) InfraTopo() *topo.Graph {
 
 // Merge folds other into g: disjoint node sets are required except for SAPs,
 // which stitch (same SAP ID appearing in two domains is the inter-domain
-// attachment point). Links and hops are appended. Used by the resource
-// orchestrator to build the global domain view (DoV).
+// attachment point). Links and hops are appended; a link whose ID g already
+// holds is renamed to "<id>@<other.ID>". Every merged element is deep-copied,
+// so g stays independently mutable — the contract of Attach and journal
+// recovery, which keep editing the result. Read paths that only publish the
+// merged graph use Union instead, which shares the sealed inputs' elements.
 func (g *NFFG) Merge(other *NFFG) error {
 	g.mustMutable("Merge")
-	for _, id := range other.InfraIDs() {
-		if g.hasNode(id) {
-			return fmt.Errorf("%w: infra %s present in both graphs", ErrDuplicateID, id)
+	u := unionOnto(g, len(other.Links))
+	return u.add(other, true)
+}
+
+// Union merges sealed graphs, in order, into one new sealed graph with the
+// given ID — the same result, byte for byte, as folding them one by one into
+// New(id) with Merge, including the first collision error. It runs in one
+// pass over its inputs: the output is pre-sized and a single link-ID set
+// detects renames for all of them, so the cost is linear in the total size.
+//
+// The output aliases the inputs' nodes, links, hops and requirements instead
+// of copying them; only a renamed link is copied. That is sound because
+// sealed graphs are immutable down to their elements (see Seal), so every
+// input must be sealed (checked in seal-check builds).
+func Union(id string, graphs ...*NFFG) (*NFFG, error) {
+	var nInfras, nNFs, nSAPs, nLinks, nHops, nReqs int
+	for _, g := range graphs {
+		g.mustSealed("Union")
+		nInfras += len(g.Infras)
+		nNFs += len(g.NFs)
+		nSAPs += len(g.SAPs)
+		nLinks += len(g.Links)
+		nHops += len(g.Hops)
+		nReqs += len(g.Reqs)
+	}
+	out := NewSized(id, nInfras, nNFs, nSAPs)
+	out.Links = make([]*Link, 0, nLinks)
+	out.Hops = make([]*SGHop, 0, nHops)
+	out.Reqs = make([]*Requirement, 0, nReqs)
+	u := unionOnto(out, nLinks)
+	for _, g := range graphs {
+		if err := u.add(g, false); err != nil {
+			return nil, err
 		}
 	}
-	for _, id := range other.NFIDs() {
-		if g.hasNode(id) {
-			return fmt.Errorf("%w: NF %s present in both graphs", ErrDuplicateID, id)
-		}
+	return out.Seal(), nil
+}
+
+// union is the indexed insert loop shared by Merge and Union: the target
+// graph plus the set of every link ID it holds, so a colliding link is found
+// by one map probe instead of a scan over the links merged so far.
+type union struct {
+	g     *NFFG
+	links map[string]struct{}
+}
+
+// unionOnto indexes g's current links, leaving room for extra more.
+func unionOnto(g *NFFG, extra int) *union {
+	u := &union{g: g, links: make(map[string]struct{}, len(g.Links)+extra)}
+	for _, l := range g.Links {
+		u.links[l.ID] = struct{}{}
 	}
-	// Pre-grow the edge slices: a DoV merge folds many domain views into one
-	// graph, and growing append-by-append reallocates on every shard.
+	return u
+}
+
+// add folds other into the target. With deep set every element is copied
+// (Merge); otherwise elements are shared and only renamed links are copied
+// (Union). Nothing is inserted when the node sets collide.
+func (u *union) add(other *NFFG, deep bool) error {
+	g := u.g
+	if id, ok := firstCollision(g, other.Infras); ok {
+		return fmt.Errorf("%w: infra %s present in both graphs", ErrDuplicateID, id)
+	}
+	if id, ok := firstCollision(g, other.NFs); ok {
+		return fmt.Errorf("%w: NF %s present in both graphs", ErrDuplicateID, id)
+	}
 	g.Links = slices.Grow(g.Links, len(other.Links))
 	g.Hops = slices.Grow(g.Hops, len(other.Hops))
 	g.Reqs = slices.Grow(g.Reqs, len(other.Reqs))
-	for _, id := range other.InfraIDs() {
-		g.Infras[id] = copyInfra(other.Infras[id])
+	for id, i := range other.Infras {
+		if deep {
+			i = copyInfra(i)
+		}
+		g.Infras[id] = i
 	}
-	for _, id := range other.NFIDs() {
-		g.NFs[id] = copyNF(other.NFs[id])
+	for id, n := range other.NFs {
+		if deep {
+			n = copyNF(n)
+		}
+		g.NFs[id] = n
 	}
-	for _, id := range other.SAPIDs() {
+	for id, s := range other.SAPs {
 		if _, ok := g.SAPs[id]; ok {
 			continue // shared SAP: stitching point
 		}
-		p := *other.SAPs[id].Port
-		g.SAPs[id] = &SAP{ID: id, Name: other.SAPs[id].Name, Port: &p}
+		if deep {
+			p := *s.Port
+			s = &SAP{ID: id, Name: s.Name, Port: &p}
+		}
+		g.SAPs[id] = s
 	}
 	for _, l := range other.Links {
-		cl := *l
-		if g.LinkByID(l.ID) != nil {
-			cl.ID = fmt.Sprintf("%s@%s", l.ID, other.ID)
+		_, dup := u.links[l.ID]
+		if deep || dup {
+			cl := *l
+			if dup {
+				cl.ID = l.ID + "@" + other.ID
+			}
+			l = &cl
 		}
-		g.Links = append(g.Links, &cl)
+		u.links[l.ID] = struct{}{}
+		g.Links = append(g.Links, l)
 	}
 	for _, h := range other.Hops {
-		ch := *h
-		g.Hops = append(g.Hops, &ch)
+		if deep {
+			ch := *h
+			h = &ch
+		}
+		g.Hops = append(g.Hops, h)
 	}
 	for _, r := range other.Reqs {
-		cr := *r
-		cr.HopIDs = append([]string(nil), r.HopIDs...)
-		g.Reqs = append(g.Reqs, &cr)
+		if deep {
+			cr := *r
+			cr.HopIDs = append([]string(nil), r.HopIDs...)
+			r = &cr
+		}
+		g.Reqs = append(g.Reqs, r)
 	}
 	return nil
+}
+
+// firstCollision returns the smallest ID of nodes that g already holds — the
+// one a merge in sorted ID order reports first.
+func firstCollision[V any](g *NFFG, nodes map[ID]V) (ID, bool) {
+	var first ID
+	found := false
+	for id := range nodes {
+		if g.hasNode(id) && (!found || id < first) {
+			first, found = id, true
+		}
+	}
+	return first, found
 }
 
 // Delta is the difference between two NFFGs sharing a node universe: what an
