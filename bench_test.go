@@ -834,7 +834,7 @@ func BenchmarkE7BatchedAdmission(b *testing.B) {
 				ro := benchE7RO(b, domains, slots)
 				install := ro.Install
 				if mode == "batched" {
-					q := admission.New(ro, admission.Options{Window: 500 * time.Microsecond, MaxBatch: clients})
+					q := admission.New(ro, admission.Options{MaxBatch: clients})
 					defer q.Close()
 					install = q.Install
 				}
@@ -1330,7 +1330,6 @@ func BenchmarkE10FairAdmission(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				layer := &benchE10Layer{delay: installLatency, services: map[string]bool{}}
 				q := admission.New(layer, admission.Options{
-					Window:            -1, // dispatch immediately
 					MaxBatch:          window,
 					TenantMaxInFlight: window,
 					DisableFairness:   mode == "fifo",
@@ -1594,21 +1593,34 @@ func BenchmarkE11SouthboundPipeline(b *testing.B) {
 // benchE12Burst drives one burst of `clients` concurrent submit+wait cycles
 // through the admission queue (the E7 batched-admission workload) and returns
 // the burst's wall-clock plus one deployed job for the span audit. Teardown
-// of the deployed services happens outside the measured window.
+// of the deployed services happens outside the measured window. Dispatch is
+// held until every submission has landed, so each burst has the same batch
+// shape in both arms: self-clocked admission would otherwise dispatch the
+// first arrivals on idle lanes alone, and how many did would depend on
+// goroutine timing rather than on tracing.
 func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrator, domains, clients int, tag string) (time.Duration, admission.Job) {
 	b.Helper()
 	ctx := context.Background()
+	reqs := make([]*nffg.NFFG, clients)
+	// The extra key holds jobs whose shard set could not be narrowed.
+	hold := []string{"e12-hold"}
+	for c := range reqs {
+		reqs[c] = benchE7Req(fmt.Sprintf("e12-%s-%d", tag, c), c%domains, c/domains)
+		hold = append(hold, ro.ShardSet(reqs[c])...)
+	}
+	q.PauseShards(hold)
 	start := make(chan struct{})
 	jobs := make([]admission.Job, clients)
 	errs := make([]error, clients)
-	var wg sync.WaitGroup
+	var submitted, wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
+		submitted.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			req := benchE7Req(fmt.Sprintf("e12-%s-%d", tag, c), c%domains, c/domains)
-			job, err := q.Submit(ctx, req)
+			job, err := q.Submit(ctx, reqs[c])
+			submitted.Done()
 			if err != nil {
 				errs[c] = err
 				return
@@ -1622,6 +1634,8 @@ func benchE12Burst(b *testing.B, q *admission.Queue, ro *core.ResourceOrchestrat
 	}
 	t0 := time.Now()
 	close(start)
+	submitted.Wait()
+	q.ResumeShards(hold)
 	wg.Wait()
 	d := time.Since(t0)
 	for _, err := range errs {
@@ -1662,7 +1676,6 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 		b.Helper()
 		ro := benchE7RO(b, domains, slots)
 		q := admission.New(ro, admission.Options{
-			Window:   500 * time.Microsecond,
 			MaxBatch: clients,
 			Tracer:   tracer,
 		})
@@ -1704,7 +1717,6 @@ func BenchmarkE12ObsOverhead(b *testing.B) {
 		mkStack := func(tr *obs.Tracer) (*core.ResourceOrchestrator, *admission.Queue) {
 			ro := benchE7RO(b, domains, slots)
 			q := admission.New(ro, admission.Options{
-				Window:   500 * time.Microsecond,
 				MaxBatch: clients,
 				Tracer:   tr,
 			})

@@ -1,7 +1,7 @@
 // Package admission puts a batching admission queue in front of a
 // unify.Layer: concurrently-arriving install requests are coalesced into one
 // embedding pass over a single resource snapshot (one snapshot→map→commit
-// cycle per window, via unify.BatchInstaller when the layer supports it), and
+// cycle per batch, via unify.BatchInstaller when the layer supports it), and
 // every submission is tracked as a Job with an observable lifecycle —
 //
 //	queued → mapping → deploying → deployed | failed
@@ -12,19 +12,24 @@
 // implements unify.Layer (Install = submit + wait), making it a drop-in
 // admission stage for any existing caller.
 //
-// When the layer also implements unify.Sharder (the sharded-DoV resource
-// orchestrator does), each coalescing window is partitioned by shard overlap
-// and disjoint groups dispatch concurrently on per-shard lanes — the global
-// FIFO queue is the degenerate single-lane case of the same machinery.
+// Dispatch is self-clocked: a job whose shard lanes are idle dispatches at
+// once, and a job whose lane is mapping stays queued until that pass commits,
+// then rides the next batch with everything that arrived behind it. The
+// mapping pass is the coalescing window, so an idle layer adds no admission
+// wait and a busy one adds at most one mapping pass. When the layer also
+// implements unify.Sharder (the sharded-DoV resource orchestrator does),
+// each batch is partitioned by shard overlap and disjoint groups dispatch
+// concurrently on per-shard lanes — the global FIFO queue is the degenerate
+// single-lane case of the same machinery.
 //
 // Scheduling is multi-tenant and weighted-fair: every submission carries a
 // tenant identity (unify.RequestMeta via its context; absent = DefaultTenant)
-// and lands in that tenant's sub-queue. Each coalescing window is drawn from
+// and lands in that tenant's sub-queue. Each batch is drawn from
 // the sub-queues by deficit-weighted round-robin — a tenant with weight w
 // earns w slots of credit per round, unused credit carries over while the
 // tenant stays backlogged — so one tenant's elephant backlog cannot starve
 // another's requests: every tenant is guaranteed its weight share of each
-// window no matter how deep a competitor's queue is. Within one tenant's
+// batch no matter how deep a competitor's queue is. Within one tenant's
 // queue, priority classes (unify.Priority) order dispatch, with
 // starvation-free aging: a request queued longer than AgeAfter is promoted
 // one class per elapsed interval, so even low-priority work eventually drains.
@@ -54,7 +59,7 @@ type State string
 
 // Job states. Deployed, Failed and Canceled are terminal.
 const (
-	// StateQueued: accepted, waiting for a batch window.
+	// StateQueued: accepted, waiting for its shard lanes to be free.
 	StateQueued State = "queued"
 	// StateMapping: picked up by the dispatcher; the batch is being planned
 	// against a resource snapshot.
@@ -105,7 +110,7 @@ type Job struct {
 	// Attempts is the number of mapping cycles the job's batch consumed.
 	Attempts int `json:"attempts,omitempty"`
 	// Batch is the size of the coalesced dispatch group the job rode in
-	// (after any per-shard-lane partitioning of its window).
+	// (after any per-shard-lane partitioning of its batch).
 	Batch   int            `json:"batch,omitempty"`
 	Receipt *unify.Receipt `json:"receipt,omitempty"`
 	// TraceID identifies the job's span trace (set when the queue has a
@@ -142,10 +147,6 @@ type Options struct {
 	// MaxBatch caps how many requests coalesce into one mapping pass
 	// (default 32).
 	MaxBatch int
-	// Window is how long the dispatcher waits after the first arrival for
-	// more requests to coalesce (0 selects the 2ms default; negative
-	// dispatches immediately).
-	Window time.Duration
 	// QueueCap bounds the number of queued (not yet dispatched) jobs across
 	// all tenants; submissions beyond it fail with ErrQueueFull (default
 	// 1024).
@@ -201,11 +202,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Window < 0 {
-		o.Window = 0
-	} else if o.Window == 0 {
-		o.Window = 2 * time.Millisecond
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
@@ -342,15 +338,6 @@ type Queue struct {
 	inflight    sync.WaitGroup // deployments handed off by the dispatcher
 	dispatching sync.WaitGroup // shard-group dispatch goroutines in flight
 
-	// Shard lanes: a dispatch group locks its shards' lane mutexes (in key
-	// order, under a read-hold of gate) for the duration of its mapping
-	// phase; a global group takes gate exclusively. Same-shard groups thus
-	// serialize (preserving the zero-conflict guarantee batching gives the
-	// layer below) while disjoint groups map concurrently.
-	gate    sync.RWMutex
-	lanesMu sync.Mutex
-	lanes   map[string]*sync.Mutex
-
 	// Stage latency histograms: queue wait (submit→dispatch) and end-to-end
 	// admission-to-deployed. Lock-free; snapshot via StageHistograms.
 	histWait obs.Histogram
@@ -375,6 +362,15 @@ type Queue struct {
 	// the scheduler skips them in place — so a resume restores the original
 	// fairness order with no requeue churn.
 	paused map[string]bool
+	// busy counts the dispatch groups mapping on each shard lane: raised
+	// when run hands a group off, lowered once process returns (the group
+	// committed). busyAll counts global groups, which hold every lane. A busy
+	// lane holds its queued jobs exactly like a paused one (heldLocked), so
+	// same-lane groups never map concurrently — the zero-conflict guarantee
+	// batching gives the layer below — and whatever queues behind a mapping
+	// pass rides the next batch together.
+	busy    map[string]int
+	busyAll int
 }
 
 // tenantQueue is one tenant's admission sub-queue: a FIFO per priority class
@@ -495,16 +491,16 @@ func (tq *tenantQueue) head() *job {
 	return h
 }
 
-// popEligible is pop restricted to jobs the eligible predicate accepts,
-// leaving ineligible jobs queued in place (used while shard lanes are
-// paused). Within a class the first eligible job is still the oldest and
-// most-aged eligible one, so only that candidate per class needs comparing.
-func (tq *tenantQueue) popEligible(now time.Time, ageAfter time.Duration, eligible func(*job) bool) *job {
+// popEligible is pop restricted to jobs the held predicate rejects, leaving
+// held jobs queued in place (used while shard lanes are held). Within a
+// class the first eligible job is still the oldest and most-aged eligible
+// one, so only that candidate per class needs comparing.
+func (tq *tenantQueue) popEligible(now time.Time, ageAfter time.Duration, held func(*job) bool) *job {
 	bestClass, bestIdx, bestRank := -1, -1, -1
 	var bestSub time.Time
 	for c := unify.NumPriorities - 1; c >= 0; c-- {
 		for i, j := range tq.classes[c] {
-			if !eligible(j) {
+			if held(j) {
 				continue
 			}
 			r := effectiveRank(j, now, ageAfter)
@@ -529,14 +525,15 @@ func (tq *tenantQueue) popEligible(now time.Time, ageAfter time.Duration, eligib
 	return j
 }
 
-// headEligible is head restricted to eligible jobs (FIFO baseline under a
-// pause). Per class the first eligible job has the smallest sequence number
-// among that class's eligible jobs, so one candidate per class suffices.
-func (tq *tenantQueue) headEligible(eligible func(*job) bool) *job {
+// headEligible is head restricted to jobs the held predicate rejects (FIFO
+// baseline while lanes are held). Per class the first eligible job has the
+// smallest sequence number among that class's eligible jobs, so one
+// candidate per class suffices.
+func (tq *tenantQueue) headEligible(held func(*job) bool) *job {
 	var h *job
 	for c := range tq.classes {
 		for _, j := range tq.classes[c] {
-			if !eligible(j) {
+			if held(j) {
 				continue
 			}
 			if h == nil || j.seq < h.seq {
@@ -550,10 +547,10 @@ func (tq *tenantQueue) headEligible(eligible func(*job) bool) *job {
 
 // New builds a queue in front of layer and starts its dispatcher. When the
 // layer implements unify.BatchInstaller (core.ResourceOrchestrator does),
-// whole windows are admitted in one snapshot→map→commit cycle; otherwise
+// whole batches are admitted in one snapshot→map→commit cycle; otherwise
 // batch members are installed individually (still serialized through the
 // queue, which bounds concurrent mapping pressure on the layer). When the
-// layer also implements unify.Sharder, each window is partitioned by shard
+// layer also implements unify.Sharder, each batch is partitioned by shard
 // overlap and disjoint groups are dispatched concurrently — the global queue
 // is the single-shard degenerate case of the same machinery.
 func New(layer unify.Layer, opts Options) *Queue {
@@ -566,9 +563,9 @@ func New(layer unify.Layer, opts Options) *Queue {
 		cancel:  cancel,
 		wake:    make(chan struct{}, 1),
 		exited:  make(chan struct{}),
-		lanes:   map[string]*sync.Mutex{},
 		jobs:    map[string]*job{},
 		tenants: map[string]*tenantQueue{},
+		busy:    map[string]int{},
 	}
 	// Pre-create explicitly weighted tenants so their configuration shows in
 	// Stats before their first submission.
@@ -598,11 +595,16 @@ func (q *Queue) Close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.cancel()
+	q.nudge()
+	<-q.exited
+}
+
+// nudge wakes the dispatcher without blocking (spurious wakes are cheap).
+func (q *Queue) nudge() {
 	select {
 	case q.wake <- struct{}{}:
 	default:
 	}
-	<-q.exited
 }
 
 // tenantLocked returns (creating on first use) one tenant's sub-queue.
@@ -735,10 +737,7 @@ func (q *Queue) Submit(ctx context.Context, req *nffg.NFFG) (Job, error) {
 	}
 	snap := j.snap
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	q.nudge()
 	return snap, nil
 }
 
@@ -952,12 +951,14 @@ func (q *Queue) Services() []string { return q.layer.Services() }
 
 // --- dispatcher --------------------------------------------------------------
 
-// run is the dispatcher: wait for an arrival, let the window fill, then admit
-// the batch. The window's jobs are partitioned by shard overlap: at most one
-// group per shard lane is MAPPING at a time — that per-lane serialization is
-// what collapses generation conflicts on the layer below — while groups on
-// disjoint lanes map concurrently, and deployments are handed off (see
-// process), so a slow child never blocks admission head-of-line.
+// run is the dispatcher: on every wakeup (an arrival, a committed mapping
+// pass, a freed in-flight slot or a lifted pause) it admits whatever may
+// dispatch now. A batch's jobs are partitioned by shard overlap and each
+// group holds its lanes busy until it commits: at most one group per shard
+// lane is MAPPING at a time — that per-lane serialization is what collapses
+// generation conflicts on the layer below — while groups on disjoint lanes
+// map concurrently, and deployments are handed off (see process), so a slow
+// child never blocks admission head-of-line.
 func (q *Queue) run() {
 	defer close(q.exited)
 	for {
@@ -979,16 +980,15 @@ func (q *Queue) run() {
 				q.dispatching.Add(1)
 				go func(g jobGroup) {
 					defer q.dispatching.Done()
-					q.lockLanes(g.keys)
-					defer q.unlockLanes(g.keys)
 					q.process(g.jobs)
+					q.releaseLanes(g.keys)
 				}(g)
 			}
 		}
 	}
 }
 
-// jobGroup is one shard-connected component of a dispatch window. keys is nil
+// jobGroup is one shard-connected component of a dispatch batch. keys is nil
 // for the global group (jobs whose shard set could not be narrowed, plus
 // everything they overlap — which is every shard).
 type jobGroup struct {
@@ -996,10 +996,10 @@ type jobGroup struct {
 	keys []string
 }
 
-// partitionByShards splits a window into connected components of overlapping
+// partitionByShards splits a batch into connected components of overlapping
 // shard sets via unify.GroupShardSets (the one union-find shared with the
 // orchestrator's batch partitioning). Jobs with a nil set are global: they
-// (and everything else in the window) collapse into one group, which is also
+// (and everything else in the batch) collapse into one group, which is also
 // the behavior for layers without sharding — the degenerate single-lane
 // queue.
 func partitionByShards(batch []*job) []jobGroup {
@@ -1018,49 +1018,20 @@ func partitionByShards(batch []*job) []jobGroup {
 	return out
 }
 
-// lockLanes serializes this group against others touching the same shards: a
-// global group takes the gate exclusively; a shard group holds the gate
-// shared plus its lanes' mutexes in key order (the deadlock-free global
-// order).
-func (q *Queue) lockLanes(keys []string) {
-	if len(keys) == 0 {
-		q.gate.Lock()
-		return
-	}
-	q.gate.RLock()
-	for _, k := range keys {
-		q.lane(k).Lock()
-	}
-}
-
-func (q *Queue) unlockLanes(keys []string) {
-	if len(keys) == 0 {
-		q.gate.Unlock()
-		return
-	}
-	for i := len(keys) - 1; i >= 0; i-- {
-		q.lane(keys[i]).Unlock()
-	}
-	q.gate.RUnlock()
-}
-
-func (q *Queue) lane(key string) *sync.Mutex {
-	q.lanesMu.Lock()
-	defer q.lanesMu.Unlock()
-	m, ok := q.lanes[key]
-	if !ok {
-		m = &sync.Mutex{}
-		q.lanes[key] = m
-	}
-	return m
-}
-
-// recordGroup attributes a dispatch group to its shards' gauges and stamps
-// each job with the size of the group it actually rides (the window may have
-// split into smaller per-lane groups).
+// recordGroup marks a dispatch group's lanes busy, attributes the group to
+// its shards' gauges and stamps each job with the size of the group it
+// actually rides (the batch may have split into smaller per-lane groups).
+// run records every group of a batch before it takes the next one, so no
+// job overlapping a handed-off group can dispatch until releaseLanes.
 func (q *Queue) recordGroup(g jobGroup) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if len(g.keys) == 0 {
+		q.busyAll++
+	}
+	for _, k := range g.keys {
+		q.busy[k]++
+	}
 	for _, j := range g.jobs {
 		j.snap.Batch = len(g.jobs)
 	}
@@ -1079,31 +1050,38 @@ func (q *Queue) recordGroup(g jobGroup) {
 	}
 }
 
-// take waits out the coalescing window, then draws up to MaxBatch jobs from
-// the tenant sub-queues by deficit-weighted round-robin (popLocked).
-func (q *Queue) take() []*job {
+// releaseLanes lowers the busy count recordGroup raised once the group's
+// mapping pass has committed, and wakes the dispatcher: the jobs that queued
+// behind the pass ride the next batch together.
+func (q *Queue) releaseLanes(keys []string) {
 	q.mu.Lock()
-	n := q.depth
-	q.mu.Unlock()
-	if n == 0 {
-		return nil
+	if len(keys) == 0 {
+		q.busyAll--
 	}
-	if q.opts.Window > 0 && n < q.opts.MaxBatch {
-		t := time.NewTimer(q.opts.Window)
-		select {
-		case <-t.C:
-		case <-q.ctx.Done():
-			t.Stop()
-			// Fall through: drain() in run() handles the backlog.
-			return nil
+	for _, k := range keys {
+		if q.busy[k]--; q.busy[k] == 0 {
+			delete(q.busy, k)
 		}
 	}
+	q.mu.Unlock()
+	q.nudge()
+}
+
+// take draws up to MaxBatch dispatchable jobs from the tenant sub-queues by
+// deficit-weighted round-robin (popLocked). There is no timer: jobs on idle
+// lanes leave at once, jobs on busy lanes wait for the pass ahead of them.
+func (q *Queue) take() []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.closed || q.depth == 0 {
+		// After Close nothing more dispatches: drain() in run() cancels the
+		// backlog.
+		return nil
+	}
 	batch := q.popLocked(q.opts.MaxBatch)
 	if len(batch) == 0 {
-		// Everything queued was canceled during the window, or every
-		// backlogged tenant is at its in-flight cap (each finishing job wakes
+		// Every queued job waits on a held lane, or every backlogged tenant
+		// is at its in-flight cap (each commit, finishing job or resume wakes
 		// the dispatcher to retry); not a batch.
 		return nil
 	}
@@ -1111,7 +1089,7 @@ func (q *Queue) take() []*job {
 	for _, j := range batch {
 		j.snap.State = StateMapping
 		j.snap.Started = now
-		// Batch is stamped per dispatch group (recordGroup): the window may
+		// Batch is stamped per dispatch group (recordGroup): the batch may
 		// split into smaller per-lane groups.
 		j.dispatched = true
 		tq := q.tenants[j.snap.Tenant]
@@ -1134,23 +1112,54 @@ func (q *Queue) take() []*job {
 	return batch
 }
 
-// eligibleLocked reports whether a queued job may dispatch under the current
-// pause set: jobs whose estimated shard set intersects a paused lane stay
-// queued, and so do global jobs (nil set — they may touch any shard).
-// Callers hold q.mu.
-func (q *Queue) eligibleLocked(j *job) bool {
-	if len(q.paused) == 0 {
+// anyHeldLocked reports whether some lane is held (paused or busy), i.e.
+// whether the scheduler must consult heldLocked at all. Callers hold q.mu.
+func (q *Queue) anyHeldLocked() bool {
+	return len(q.paused) > 0 || len(q.busy) > 0 || q.busyAll > 0
+}
+
+// heldLocked is the one predicate that keeps a queued job queued: its
+// estimated shard set intersects a paused or busy lane, or a global group
+// (which holds every lane) is mapping. A global job (nil set — it may touch
+// any shard) is held while any lane is. Callers hold q.mu.
+func (q *Queue) heldLocked(j *job) bool {
+	if q.busyAll > 0 {
 		return true
 	}
 	if len(j.shards) == 0 {
-		return false
+		return q.anyHeldLocked()
 	}
 	for _, k := range j.shards {
-		if q.paused[k] {
-			return false
+		if q.paused[k] || q.busy[k] > 0 {
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// globalWaitsLocked reports whether a dispatchable global job waits for busy
+// lanes to drain. A global group needs every lane, so while one waits no new
+// group may start on an idle lane: a steady stream of shard jobs could
+// otherwise keep some lane busy forever and starve it. A pause holds global
+// jobs until it lifts, so it lifts this barrier too and the unpaused lanes
+// keep dispatching. Callers hold q.mu.
+func (q *Queue) globalWaitsLocked() bool {
+	if len(q.busy) == 0 || len(q.paused) > 0 {
+		return false
+	}
+	for _, tq := range q.tenants {
+		if tq.depth == 0 || q.atCapLocked(tq, nil) {
+			continue
+		}
+		for _, c := range tq.classes {
+			for _, j := range c {
+				if len(j.shards) == 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // PauseShards stops dispatching queued jobs whose estimated shard set
@@ -1204,10 +1213,7 @@ func (q *Queue) ResumeShards(keys []string) {
 		}
 	}
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	q.nudge()
 }
 
 // atCapLocked reports whether a tenant has exhausted its in-flight budget,
@@ -1228,15 +1234,20 @@ func (q *Queue) atCapLocked(tq *tenantQueue, popped map[*tenantQueue]int) bool {
 // weight ratio even when MaxBatch is smaller than one full round — and resets
 // when its queue drains. Tenants at their in-flight cap are skipped (earning
 // nothing: a capped tenant is not entitled to a catch-up burst), and so are
-// tenants whose every queued job waits in a paused lane. The rotation
-// start advances once per call so the same tenant does not lead every window.
+// tenants whose every queued job waits on a held (paused or busy) lane. The
+// rotation start advances once per call so the same tenant does not lead
+// every batch.
 //
 // FIFO mode (Options.DisableFairness) dispatches in strict global arrival
 // order; an over-cap tenant at the head of the line blocks everyone behind it
 // — the baseline head-of-line behavior the weighted scheduler exists to fix.
 func (q *Queue) popLocked(max int) []*job {
+	if q.globalWaitsLocked() {
+		return nil
+	}
 	var batch []*job
 	popped := map[*tenantQueue]int{}
+	held := q.anyHeldLocked()
 	if q.opts.DisableFairness {
 		for len(batch) < max {
 			var best *tenantQueue
@@ -1244,8 +1255,8 @@ func (q *Queue) popLocked(max int) []*job {
 			for _, name := range q.order {
 				tq := q.tenants[name]
 				h := tq.head()
-				if len(q.paused) > 0 {
-					h = tq.headEligible(q.eligibleLocked)
+				if held {
+					h = tq.headEligible(q.heldLocked)
 				}
 				if h != nil && (bestJob == nil || h.seq < bestJob.seq) {
 					best, bestJob = tq, h
@@ -1274,25 +1285,25 @@ func (q *Queue) popLocked(max int) []*job {
 			if q.atCapLocked(tq, popped) {
 				continue
 			}
-			if len(q.paused) > 0 && tq.headEligible(q.eligibleLocked) == nil {
-				// Every queued job sits in a paused lane: like a capped
+			if held && tq.headEligible(q.heldLocked) == nil {
+				// Every queued job waits on a held lane: like a capped
 				// tenant, it earns nothing, or each dispatcher wakeup during
-				// the pause would bank a burst for when it lifts.
+				// the hold would bank a burst for when it lifts.
 				continue
 			}
 			tq.deficit += tq.weight
 			// Bound banked credit: a tenant starved of batch space for many
-			// windows may catch up, but never by more than one window plus
+			// batches may catch up, but never by more than one batch plus
 			// one round at once.
 			if limit := tq.weight + max; tq.deficit > limit {
 				tq.deficit = limit
 			}
 			for tq.deficit > 0 && tq.depth > 0 && len(batch) < max && !q.atCapLocked(tq, popped) {
 				var j *job
-				if len(q.paused) == 0 {
+				if !held {
 					j = tq.pop(now, q.opts.AgeAfter)
-				} else if j = tq.popEligible(now, q.opts.AgeAfter, q.eligibleLocked); j == nil {
-					break // only paused jobs left in this tenant's queue
+				} else if j = tq.popEligible(now, q.opts.AgeAfter, q.heldLocked); j == nil {
+					break // only held jobs left in this tenant's queue
 				}
 				tq.deficit--
 				q.depth--
@@ -1456,13 +1467,9 @@ func (q *Queue) terminateLocked(j *job, receipt *unify.Receipt, err error) {
 		}
 		if j.dispatched {
 			tq.inFlight--
-			// A freed in-flight slot may unblock a capped tenant's backlog:
-			// nudge the dispatcher (non-blocking; spurious wakes are cheap).
+			// A freed in-flight slot may unblock a capped tenant's backlog.
 			if q.opts.TenantMaxInFlight > 0 && q.depth > 0 {
-				select {
-				case q.wake <- struct{}{}:
-				default:
-				}
+				q.nudge()
 			}
 		}
 		q.reclaimTenantLocked(tq)

@@ -92,7 +92,7 @@ func req(id string) *nffg.NFFG { return nffg.New(id) }
 // — one InstallBatch call for all of them.
 func TestCoalescing(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	first, err := q.Submit(context.Background(), req("first"))
@@ -147,7 +147,7 @@ func TestCoalescing(t *testing.T) {
 func TestPartialFailureIsolation(t *testing.T) {
 	boom := fmt.Errorf("%w: induced", unify.ErrRejected)
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16), fail: map[string]error{"lemon": boom}}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	blocker, _ := q.Submit(context.Background(), req("blocker"))
@@ -182,7 +182,7 @@ func TestPartialFailureIsolation(t *testing.T) {
 // timestamps along the way.
 func TestJobStateTransitions(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	j, err := q.Submit(context.Background(), req("svc"))
@@ -219,7 +219,7 @@ func TestJobStateTransitions(t *testing.T) {
 // context returns the in-flight snapshot with the context error.
 func TestWatchWakeup(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	j, _ := q.Submit(context.Background(), req("svc"))
@@ -265,7 +265,7 @@ func TestWatchWakeup(t *testing.T) {
 // layer; a dispatched job cannot.
 func TestCancelQueued(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	running, _ := q.Submit(context.Background(), req("running"))
@@ -317,7 +317,7 @@ func TestCancelQueued(t *testing.T) {
 func TestSyncInstall(t *testing.T) {
 	boom := fmt.Errorf("%w: no fit", unify.ErrRejected)
 	stub := &stubLayer{fail: map[string]error{"lemon": boom}}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	receipt, err := q.Install(context.Background(), req("svc"))
@@ -334,7 +334,7 @@ func TestSyncInstall(t *testing.T) {
 func TestFallbackPlainLayer(t *testing.T) {
 	stub := &stubLayer{}
 	// Hide the BatchInstaller face behind a plain wrapper.
-	q := New(plainLayer{stub}, Options{Window: time.Millisecond})
+	q := New(plainLayer{stub}, Options{})
 	defer q.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -375,7 +375,7 @@ func (p plainLayer) Install(ctx context.Context, r *nffg.NFFG) (*unify.Receipt, 
 // backlog.
 func TestQueueFullAndClose(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond, QueueCap: 1})
+	q := New(stub, Options{QueueCap: 1})
 
 	_, _ = q.Submit(context.Background(), req("running"))
 	<-stub.entered
@@ -405,14 +405,19 @@ func TestQueueFullAndClose(t *testing.T) {
 }
 
 // TestCloseCancelRace covers the take/close/cancel interleaving the lifecycle
-// tests leave out: jobs sitting in the coalescing window while Cancel and
-// Close race each other. Every job must reach exactly one terminal state and
-// Close must return without deadlocking, no matter who wins.
+// tests leave out: queued jobs while Cancel, Close and a dispatch (the pause
+// holding them lifts) race each other. Every job must reach exactly one
+// terminal state and Close must return without deadlocking, no matter who
+// wins.
 func TestCloseCancelRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		stub := &stubLayer{}
-		// A long window keeps the batch queued so close/cancel race take.
-		q := New(stub, Options{Window: 20 * time.Millisecond})
+		q := New(stub, Options{})
+		// The stub is no Sharder, so every job is global and a pause on any
+		// lane keeps the whole batch queued until the resume below races
+		// Close and Cancel for it.
+		hold := []string{"hold"}
+		q.PauseShards(hold)
 		var jobs []Job
 		for i := 0; i < 6; i++ {
 			j, err := q.Submit(context.Background(), req(fmt.Sprintf("svc%d", i)))
@@ -422,7 +427,11 @@ func TestCloseCancelRace(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 		var wg sync.WaitGroup
-		wg.Add(2)
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			q.ResumeShards(hold)
+		}()
 		go func() {
 			defer wg.Done()
 			// Cancel whatever is still cancelable; ErrNotCancelable and
@@ -457,8 +466,9 @@ func TestCloseCancelRace(t *testing.T) {
 }
 
 // shardedStub is a unify.Layer + BatchInstaller + Sharder whose shard set is
-// the request ID's prefix (up to the first '-') and whose InstallBatch blocks
-// while its batch contains a job of a gated shard.
+// the request ID's prefix (up to the first '-'; the prefix "global" leaves
+// the set un-narrowed) and whose InstallBatch blocks while its batch contains
+// a job of a gated shard.
 type shardedStub struct {
 	gated   string        // shard key whose batches block ...
 	gate    chan struct{} // ... until this closes
@@ -479,7 +489,12 @@ func (s *shardedStub) ID() string                               { return "sharde
 func (s *shardedStub) View(context.Context) (*nffg.NFFG, error) { return nffg.New("v"), nil }
 func (s *shardedStub) Remove(_ context.Context, _ string) error { return nil }
 func (s *shardedStub) Services() []string                       { return nil }
-func (s *shardedStub) ShardSet(req *nffg.NFFG) []string         { return []string{shardOfID(req.ID)} }
+func (s *shardedStub) ShardSet(req *nffg.NFFG) []string {
+	if k := shardOfID(req.ID); k != "global" {
+		return []string{k}
+	}
+	return nil
+}
 func (s *shardedStub) Install(ctx context.Context, req *nffg.NFFG) (*unify.Receipt, error) {
 	out := s.InstallBatch(ctx, []*nffg.NFFG{req}, unify.BatchObserver{})
 	return out[0].Receipt, out[0].Err
@@ -525,7 +540,7 @@ func (s *shardedStub) InstallBatch(ctx context.Context, reqs []*nffg.NFFG, obs u
 // longer serializes admission head-of-line across shards.
 func TestShardLaneFairness(t *testing.T) {
 	stub := &shardedStub{gated: "a", gate: make(chan struct{}), entered: make(chan string, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer func() {
 		close(stub.gate)
 		q.Close()
@@ -570,10 +585,10 @@ func TestShardLaneFairness(t *testing.T) {
 
 // TestShardLaneSerialization: two batches bound for the SAME shard lane never
 // overlap inside the layer, even though the dispatcher hands groups off
-// concurrently — the per-lane locks preserve the zero-conflict guarantee.
+// concurrently — the busy-lane hold preserves the zero-conflict guarantee.
 func TestShardLaneSerialization(t *testing.T) {
 	stub := &shardedStub{gated: "a", gate: make(chan struct{}), entered: make(chan string, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	first, _ := q.Submit(context.Background(), req("a-1"))
@@ -594,6 +609,120 @@ func TestShardLaneSerialization(t *testing.T) {
 		if done, err := q.Wait(ctx, id); err != nil || done.State != StateDeployed {
 			t.Fatalf("job %s: %v %+v", id, err, done)
 		}
+	}
+}
+
+// TestSelfClockedCoalescing pins the dispatch rule: a job on an idle lane
+// dispatches at once; submissions to a lane whose mapping pass is still
+// running stay queued and, when that pass commits, ride exactly one next
+// batch; a job on another lane dispatches meanwhile; and a tenant held only
+// by the busy lane banks no DWRR credit while it waits.
+func TestSelfClockedCoalescing(t *testing.T) {
+	stub := &shardedStub{gated: "a", gate: make(chan struct{}), entered: make(chan string, 16)}
+	q := New(stub, Options{})
+	defer q.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	first, err := q.Submit(tenantCtx("ta"), req("a-0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No window: the idle lane dispatches the first arrival on its own.
+	if got := <-stub.entered; got != "a" {
+		t.Fatalf("first dispatch: %s", got)
+	}
+	const n = 4
+	var followers []Job
+	for i := 1; i <= n; i++ {
+		j, err := q.Submit(tenantCtx("ta"), req(fmt.Sprintf("a-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		followers = append(followers, j)
+	}
+	bJob, err := q.Submit(tenantCtx("tb"), req("b-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := q.Wait(ctx, bJob.ID); err != nil || done.State != StateDeployed {
+		t.Fatalf("b-lane job behind a busy a lane: %v %+v", err, done)
+	}
+	// b's dispatch and commit each woke the dispatcher while lane a was busy.
+	for _, f := range followers {
+		if cur, _ := q.Job(f.ID); cur.State != StateQueued {
+			t.Fatalf("job %s on the busy lane left the queue: %s", f.ID, cur.State)
+		}
+	}
+	q.mu.Lock()
+	deficit := q.tenants["ta"].deficit
+	q.mu.Unlock()
+	if deficit != 0 {
+		t.Fatalf("tenant held only by a busy lane banked %d DWRR credit", deficit)
+	}
+
+	close(stub.gate) // a-0's pass commits; the followers go next, together
+	for _, j := range append([]Job{first}, followers...) {
+		done, err := q.Wait(ctx, j.ID)
+		if err != nil || done.State != StateDeployed {
+			t.Fatalf("job %s: %v %+v", j.ID, err, done)
+		}
+		if j.ID != first.ID && done.Batch != n {
+			t.Fatalf("job %s rode a batch of %d, want %d", j.ID, done.Batch, n)
+		}
+	}
+	stub.mu.Lock()
+	defer stub.mu.Unlock()
+	var aBatches [][]string
+	for _, b := range stub.batches {
+		if shardOfID(b[0]) == "a" {
+			aBatches = append(aBatches, b)
+		}
+	}
+	if len(aBatches) != 2 || len(aBatches[0]) != 1 || len(aBatches[1]) != n {
+		t.Fatalf("lane a batches %v, want [a-0] then all %d followers", aBatches, n)
+	}
+}
+
+// TestGlobalJobBarsIdleLanes: a global job (its shard set could not be
+// narrowed) needs every lane, so once it waits behind a busy lane no new
+// group starts on an idle one — a steady stream of shard jobs could
+// otherwise keep some lane busy forever and starve it.
+func TestGlobalJobBarsIdleLanes(t *testing.T) {
+	stub := &shardedStub{gated: "a", gate: make(chan struct{}), entered: make(chan string, 16)}
+	q := New(stub, Options{})
+	defer q.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	if _, err := q.Submit(context.Background(), req("a-1")); err != nil {
+		t.Fatal(err)
+	}
+	<-stub.entered // lane a is busy
+	global, err := q.Submit(context.Background(), req("global-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bJob, err := q.Submit(context.Background(), req("b-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-stub.entered:
+		t.Fatalf("lane %s dispatched past a waiting global job", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(stub.gate)
+	g, err := q.Wait(ctx, global.ID)
+	if err != nil || g.State != StateDeployed {
+		t.Fatalf("global job: %v %+v", err, g)
+	}
+	b, err := q.Wait(ctx, bJob.ID)
+	if err != nil || b.State != StateDeployed {
+		t.Fatalf("b job: %v %+v", err, b)
+	}
+	if b.Started.Before(g.Started) {
+		t.Fatalf("b dispatched at %v, before the global job at %v", b.Started, g.Started)
 	}
 }
 
@@ -627,7 +756,7 @@ func TestQueueOverOrchestrator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := New(ro, Options{Window: 5 * time.Millisecond})
+	q := New(ro, Options{})
 	defer q.Close()
 
 	var wg sync.WaitGroup
@@ -678,7 +807,7 @@ func TestQueueOverOrchestrator(t *testing.T) {
 // tears it down once the job completes.
 func TestAbandonedSyncInstallRollsBack(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	q := New(stub, Options{Window: time.Millisecond})
+	q := New(stub, Options{})
 	defer q.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)

@@ -87,16 +87,15 @@ func tenantCtx(tenant string) context.Context {
 // TestDWRRWeightShare: with tenant weights 3:1 and both backlogged, every
 // scheduling window carries jobs in the weight ratio. Dispatch is held by a
 // pause until all 24 submissions have landed, so the batch compositions are
-// deterministic: a coalescing window alone is not enough, because take()
-// skips the window once the queue holds MaxBatch jobs, and a dispatcher
-// waking after the eighth heavy submit would pop them before any light job
+// deterministic: the dispatcher dispatches an idle lane at once, so without
+// the hold the first heavy submit would leave alone, before any light job
 // exists. The pause must not bank credit either (a tenant whose every job is
-// paused earns none), or the first window after the resume would depend on
-// how often the dispatcher woke during the hold.
+// held earns none), or the first window after the resume would depend on
+// how often the dispatcher woke during the hold. Each later window is the
+// backlog that queued behind the previous window's mapping pass.
 func TestDWRRWeightShare(t *testing.T) {
 	stub := &stubLayer{}
 	q := New(stub, Options{
-		Window:        50 * time.Millisecond,
 		MaxBatch:      8,
 		TenantWeights: map[string]int{"heavy": 3, "light": 1},
 	})
@@ -178,7 +177,6 @@ func TestNoStarvationUnderBacklog(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			layer := &slowLayer{delay: 5 * time.Millisecond}
 			q := New(layer, Options{
-				Window:            -1, // dispatch immediately
 				MaxBatch:          2,
 				TenantMaxInFlight: 2,
 				DisableFairness:   mode.fifo,
@@ -249,7 +247,6 @@ func TestPriorityAging(t *testing.T) {
 				entered: make(chan struct{}, 1),
 			}
 			q := New(layer, Options{
-				Window:            -1,
 				MaxBatch:          1,
 				TenantMaxInFlight: 1,
 				AgeAfter:          mode.ageAfter,
@@ -326,7 +323,6 @@ func TestPriorityAging(t *testing.T) {
 func TestTenantCaps(t *testing.T) {
 	stub := &stubLayer{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
 	q := New(stub, Options{
-		Window:            -1,
 		TenantMaxInFlight: 1,
 		TenantQueueCap:    3,
 	})
@@ -374,7 +370,6 @@ func TestTenantCaps(t *testing.T) {
 func TestTenantReclamation(t *testing.T) {
 	stub := &stubLayer{}
 	q := New(stub, Options{
-		Window:        -1,
 		TenantWeights: map[string]int{"keeper": 2},
 	})
 	defer q.Close()

@@ -1,6 +1,7 @@
 package nffg
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -83,4 +84,34 @@ func BenchmarkMerge(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkJSONCodec measures the view codec on the read path: EncodeJSON of
+// a view-sized graph (the server side of every full GET /unify/view) and
+// DecodeJSON of its bytes (the client side).
+func BenchmarkJSONCodec(b *testing.B) {
+	g := benchGraph("d0", 300)
+	var buf bytes.Buffer
+	if err := g.EncodeJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	b.Run("encode/nodes=300", func(b *testing.B) {
+		b.ReportAllocs()
+		var out bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := g.EncodeJSON(&out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/nodes=300", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeJSON(bytes.NewReader(body)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -64,10 +64,12 @@ func fromWire(w *wire) (*NFFG, error) {
 	return g, nil
 }
 
-// MarshalJSON encodes the graph deterministically.
+// MarshalJSON encodes the graph deterministically, for graphs embedded in
+// other JSON values (EncodeJSON writes the same bytes without the detour).
 func (g *NFFG) MarshalJSON() ([]byte, error) { return json.Marshal(g.toWire()) }
 
-// UnmarshalJSON decodes a graph produced by MarshalJSON.
+// UnmarshalJSON decodes a graph produced by MarshalJSON, for graphs embedded
+// in other JSON values.
 func (g *NFFG) UnmarshalJSON(b []byte) error {
 	var w wire
 	if err := json.Unmarshal(b, &w); err != nil {
@@ -81,17 +83,25 @@ func (g *NFFG) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// EncodeJSON writes the graph as indented JSON.
+// EncodeJSON writes the graph as indented JSON. It encodes the wire form
+// directly: encoding the graph itself would route through MarshalJSON, whose
+// output the encoder then re-validates and re-indents.
 func (g *NFFG) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(g)
+	return enc.Encode(g.toWire())
 }
 
-// DecodeJSON reads a graph from JSON.
+// DecodeJSON reads a graph from JSON in one pass over the body: decoding
+// into the graph itself would scan it again for UnmarshalJSON's raw value
+// and twice more inside json.Unmarshal.
 func DecodeJSON(r io.Reader) (*NFFG, error) {
-	g := New("")
-	if err := json.NewDecoder(r).Decode(g); err != nil {
+	var w wire
+	if err := json.NewDecoder(r).Decode(&w); err != nil {
+		return nil, fmt.Errorf("nffg: decode json: %w", err)
+	}
+	g, err := fromWire(&w)
+	if err != nil {
 		return nil, fmt.Errorf("nffg: decode json: %w", err)
 	}
 	return g, nil

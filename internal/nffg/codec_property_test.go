@@ -2,6 +2,7 @@ package nffg
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -145,6 +146,59 @@ func TestCodecRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodeJSONMatchesMarshalerPath: the single-pass codec is byte for byte
+// the encoding the graph produces as a json.Marshaler (the encoder re-indenting
+// MarshalJSON's output), and DecodeJSON yields the same graph as decoding
+// through UnmarshalJSON — over randomized graphs, a large view-shaped graph,
+// and names that exercise the encoder's HTML and line-separator escaping.
+func TestEncodeJSONMatchesMarshalerPath(t *testing.T) {
+	viaMarshaler := func(g *NFFG) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var graphs []*NFFG
+	for seed := int64(0); seed < 300; seed++ {
+		g := randomGraph(rand.New(rand.NewSource(seed)))
+		if seed%3 == 0 {
+			g.Name = fmt.Sprintf("<view %d> & \u2028 \"quoted\" é", seed)
+		}
+		graphs = append(graphs, g)
+	}
+	graphs = append(graphs, benchGraph("d0", 300), New(""))
+	for i, g := range graphs {
+		var buf bytes.Buffer
+		if err := g.EncodeJSON(&buf); err != nil {
+			t.Fatalf("graph %d: encode: %v", i, err)
+		}
+		want := viaMarshaler(g)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("graph %d: EncodeJSON differs from the Marshaler path:\n%s\nvs\n%s", i, buf.Bytes(), want)
+		}
+		got, err := DecodeJSON(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("graph %d: decode: %v", i, err)
+		}
+		var ref NFFG
+		if err := json.Unmarshal(want, &ref); err != nil {
+			t.Fatalf("graph %d: UnmarshalJSON: %v", i, err)
+		}
+		if got.Render() != g.Render() || got.Render() != ref.Render() {
+			t.Fatalf("graph %d: decode does not round-trip:\n%s\nvs\n%s", i, got.Render(), g.Render())
+		}
+		if d, err := Diff(g, got); err != nil || !d.Empty() {
+			t.Fatalf("graph %d: round-trip diff %v %v", i, d, err)
+		}
+		if again := viaMarshaler(got); !bytes.Equal(again, want) {
+			t.Fatalf("graph %d: re-encoding the decoded graph changed its bytes", i)
+		}
 	}
 }
 

@@ -141,11 +141,16 @@ func (p *Pipeline) Send(ctx context.Context, rule string, fm *FlowMod) error {
 // barrier round-trips one BarrierRequest and clears the inflight window. The
 // barrier reply proves every earlier message was processed (the agent handles
 // its session sequentially), so any error for an earlier flow-mod has already
-// been recorded by the read loop when request returns.
+// been recorded by the read loop when request returns. A canceled context
+// issues no barrier: its reply could win the race against ctx.Done and
+// report a canceled delta as applied.
 func (p *Pipeline) barrier(ctx context.Context) error {
-	p.stats.Barriers++
-	p.c.barriers.Add(1)
-	_, err := p.c.request(ctx, p.dp, &Message{Type: TypeBarrierRequest}, TypeBarrierReply)
+	err := ctx.Err()
+	if err == nil {
+		p.stats.Barriers++
+		p.c.barriers.Add(1)
+		_, err = p.c.request(ctx, p.dp, &Message{Type: TypeBarrierRequest}, TypeBarrierReply)
+	}
 	for _, xid := range p.xids {
 		p.dp.inflight.Delete(xid)
 	}
