@@ -126,7 +126,7 @@ func benchE15Front(b *testing.B, nodes int) (*api.Client, string, *atomic.Int64)
 // e15FullFetch is one pre-ETag poll: transfer the whole view and decode it.
 func e15FullFetch(b *testing.B, base string) *nffg.NFFG {
 	b.Helper()
-	resp, err := http.Get(base + "/unify/view")
+	resp, err := http.Get(base + "/v1/unify/view")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -949,14 +949,6 @@ func BenchmarkE7BatchMapping(b *testing.B) {
 // shard sets are exactly their own domain.
 func benchE8RO(b *testing.B, domains int, shardKey core.ShardKeyFunc) *core.ResourceOrchestrator {
 	b.Helper()
-	return benchE8ROOpt(b, domains, shardKey, false)
-}
-
-// benchE8ROOpt is benchE8RO with the shard-set estimator selectable:
-// conservative restores the pre-reverse-index baseline where unpinned NFs
-// make a request global.
-func benchE8ROOpt(b *testing.B, domains int, shardKey core.ShardKeyFunc, conservative bool) *core.ResourceOrchestrator {
-	b.Helper()
 	slowRank := func(nf *nffg.NF, cands []embed.Candidate) []nffg.ID {
 		runtime.Gosched()
 		var sink uint64
@@ -969,10 +961,9 @@ func benchE8ROOpt(b *testing.B, domains int, shardKey core.ShardKeyFunc, conserv
 		return embed.BestFit(nf, cands)
 	}
 	ro := core.NewResourceOrchestrator(core.Config{
-		ID:                        "ro",
-		Mapper:                    embed.New(embed.Options{Name: "slow-rank", Rank: slowRank}),
-		ShardKey:                  shardKey,
-		ConservativeShardEstimate: conservative,
+		ID:       "ro",
+		Mapper:   embed.New(embed.Options{Name: "slow-rank", Rank: slowRank}),
+		ShardKey: shardKey,
 	})
 	for i := 0; i < domains; i++ {
 		name := fmt.Sprintf("d%d", i)
@@ -1216,54 +1207,49 @@ func BenchmarkE9ReadPath(b *testing.B) {
 
 // BenchmarkE9GlobalNarrowing measures what the reverse index buys the WRITE
 // path: batches of unpinned-NF requests (one per domain, anchored only by
-// their SAPs) admitted with the conservative estimator (any unpinned NF ->
-// global shard set -> the whole batch serializes as ONE exclusive group)
-// versus the reverse index (each request narrows to its SAP's shard ->
-// disjoint groups plan and commit concurrently). groups/batch > 1 is the
-// narrowing win: the batch no longer serializes through one exclusive global
-// group (or admission's global gate). ms/batch tracks the wall-clock effect —
-// the total mapping work is identical, so the speedup scales with real cores
-// (on a single-core runner the modes tie).
+// their SAPs) each narrow to their SAP's shard, so disjoint groups plan and
+// commit concurrently. groups/batch = domains is the narrowing win: the batch
+// does not serialize through one exclusive global group (or admission's
+// global gate). ms/batch tracks the wall-clock effect, which scales with
+// real cores.
 func BenchmarkE9GlobalNarrowing(b *testing.B) {
 	const domains = 8
 	if runtime.GOMAXPROCS(0) < domains {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(domains))
 	}
-	for _, mode := range []string{"conservative", "indexed"} {
-		b.Run(fmt.Sprintf("%s/reqs=%d", mode, domains), func(b *testing.B) {
-			ro := benchE8ROOpt(b, domains, core.ShardPerDomain, mode == "conservative")
-			ctx := context.Background()
-			before := ro.PipelineStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reqs := make([]*nffg.NFFG, domains)
-				for c := range reqs {
-					req := benchE8Req(fmt.Sprintf("e9n-%d-%d", i, c), c)
-					for _, nfID := range req.NFIDs() {
-						req.NFs[nfID].Host = "" // unpinned: only the SAPs anchor it
-					}
-					reqs[c] = req
+	b.Run(fmt.Sprintf("indexed/reqs=%d", domains), func(b *testing.B) {
+		ro := benchE8RO(b, domains, core.ShardPerDomain)
+		ctx := context.Background()
+		before := ro.PipelineStats()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			reqs := make([]*nffg.NFFG, domains)
+			for c := range reqs {
+				req := benchE8Req(fmt.Sprintf("e9n-%d-%d", i, c), c)
+				for _, nfID := range req.NFIDs() {
+					req.NFs[nfID].Host = "" // unpinned: only the SAPs anchor it
 				}
-				for c, o := range ro.InstallBatch(ctx, reqs, unify.BatchObserver{}) {
-					if o.Err != nil {
-						b.Fatal(c, o.Err)
-					}
-				}
-				b.StopTimer()
-				for _, req := range reqs {
-					if err := ro.Remove(ctx, req.ID); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
+				reqs[c] = req
 			}
-			st := ro.PipelineStats()
-			installs := float64(st.Installs - before.Installs)
-			b.ReportMetric(float64(st.Batches-before.Batches)/float64(b.N), "groups/batch")
-			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/batch")
-			b.ReportMetric(float64(st.MapAttempts-before.MapAttempts)/installs, "mappasses/install")
-		})
-	}
+			for c, o := range ro.InstallBatch(ctx, reqs, unify.BatchObserver{}) {
+				if o.Err != nil {
+					b.Fatal(c, o.Err)
+				}
+			}
+			b.StopTimer()
+			for _, req := range reqs {
+				if err := ro.Remove(ctx, req.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		st := ro.PipelineStats()
+		installs := float64(st.Installs - before.Installs)
+		b.ReportMetric(float64(st.Batches-before.Batches)/float64(b.N), "groups/batch")
+		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/batch")
+		b.ReportMetric(float64(st.MapAttempts-before.MapAttempts)/installs, "mappasses/install")
+	})
 }
 
 // --- E10: multi-tenant weighted-fair admission ----------------------------------

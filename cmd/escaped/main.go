@@ -100,10 +100,10 @@ func main() {
 		ageAfter   = flag.Duration("age-after", 0, "admission: starvation-free aging interval (0 = 30s default, negative disables)")
 		fifo       = flag.Bool("fifo", false, "admission: disable weighted-fair scheduling (strict arrival order; baseline only)")
 
-		tracing   = flag.Bool("tracing", true, "admission: record per-job span trees, served at GET /unify/trace/{id}")
+		tracing   = flag.Bool("tracing", true, "admission: record per-job span trees, served at GET /v1/unify/trace/{id}")
 		pprofFlag = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 
-		fleetOn       = flag.Bool("fleet", true, "orchestrator: run the domain fleet controller — health probes, hot attach/detach, automatic failover re-embedding (GET /unify/fleet, POST /unify/fleet/{domain}/drain)")
+		fleetOn       = flag.Bool("fleet", true, "orchestrator: run the domain fleet controller — health probes, hot attach/detach, automatic failover re-embedding (GET /v1/unify/fleet, POST /v1/unify/fleet/{domain}/drain)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "fleet: health-probe period per domain")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "fleet: timeout of one probe attempt")
 		degradeAfter  = flag.Int("degrade-after", 1, "fleet: consecutive failed probe rounds before a domain is marked degraded")

@@ -23,22 +23,19 @@
 //
 // submit -async returns a job ID immediately (the server answers 202 before
 // the multi-domain fan-out finishes); -wait long-polls the job to completion.
-// stats fetches the consolidated GET /unify/stats document in one round trip:
-// mapping-pipeline counters (with per-shard DoV generations for sharded
+// stats fetches the consolidated GET /v1/unify/stats document in one round
+// trip: mapping-pipeline counters (with per-shard DoV generations for sharded
 // orchestrators), admission-queue gauges, southbound counters, fleet summary
-// and replica sync state — whichever the layer exposes. Against an older
-// server the client falls back to the split endpoints; with no stats surface
-// at all it prints n/a and exits 0, so scripted probes keep working across
-// versions. watch-view follows the layer's view stream (GET /unify/watch),
-// printing one line per committed generation — or, with -format json, each
-// full view — until interrupted; it resumes across poll windows and dedupes
-// duplicate deliveries by ETag. trace renders the recorded span tree of a
-// job: admission wait,
-// map/commit cycles, per-child deploys and southbound flushes, with
-// durations. domains renders the fleet controller's per-domain lifecycle
-// table; drain evicts one domain and blocks until its services are re-embedded
-// onto the survivors (run drain without -timeout pressure: it implies real
-// installs).
+// and replica sync state — whichever the layer exposes; a layer without a
+// pipeline or a queue prints n/a for it. watch-view follows the layer's view
+// stream (GET /v1/unify/watch), printing one line per committed generation —
+// or, with -format json, each full view — until interrupted; it resumes
+// across poll windows and dedupes duplicate deliveries by ETag. trace renders
+// the recorded span tree of a job: admission wait, map/commit cycles,
+// per-child deploys and southbound flushes, with durations. domains renders
+// the fleet controller's per-domain lifecycle table; drain evicts one domain
+// and blocks until its services are re-embedded onto the survivors (run drain
+// without -timeout pressure: it implies real installs).
 package main
 
 import (
@@ -244,14 +241,7 @@ func main() {
 		}
 		fmt.Println("canceled", flag.Arg(1))
 	case "stats":
-		// One round trip: the consolidated document. Against an older server
-		// the client reassembles it from the split endpoints; if nothing is
-		// there at all, degrade to n/a so version-skewed probes stay green.
 		doc, err := cli.Stats(ctx)
-		if errors.Is(err, unify.ErrUnknownService) {
-			fmt.Println("stats: n/a")
-			return
-		}
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -205,13 +205,12 @@ func TestAsyncJobsOverHTTP(t *testing.T) {
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("jobs list: %+v %v", jobs, err)
 	}
-	if st, err := cli.AdmissionStats(ctx); err != nil || st.Deployed != 1 {
-		t.Fatalf("admission stats: %+v %v", st, err)
+	if doc, err := cli.Stats(ctx); err != nil || doc.Admission == nil || doc.Admission.Deployed != 1 {
+		t.Fatalf("admission stats: %+v %v", doc.Admission, err)
 	}
 
 	// Unknown jobs surface the typed ErrUnknownJob identity on fetch/watch
-	// (the error envelope carries the code; pre-envelope servers degrade to
-	// ErrUnknownService via the 404 fallback).
+	// (the error envelope carries the code).
 	if _, err := cli.Job(ctx, "job-999"); !errors.Is(err, admission.ErrUnknownJob) {
 		t.Fatalf("unknown job fetch: %v", err)
 	}
@@ -328,7 +327,7 @@ func flakyWaitServer(t *testing.T, drops int) (addr string, polls *atomic.Int32)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "ok")
 	})
-	mux.HandleFunc("GET /unify/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/unify/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
 		n := polls.Add(1)
 		if int(n) <= drops {
 			// Kill the connection without a response: the client sees a
@@ -410,7 +409,7 @@ func TestWaitJobContextCancel(t *testing.T) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = io.WriteString(w, "ok")
 	})
-	mux.HandleFunc("GET /unify/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/unify/jobs/{id}/wait", func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -440,8 +439,9 @@ func TestWaitJobContextCancel(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsOverHTTP: the stats endpoint exposes the sharded
-// orchestrator's pipeline counters and per-shard generations end to end.
+// TestPipelineStatsOverHTTP: the stats document's pipeline section exposes
+// the sharded orchestrator's pipeline counters and per-shard generations end
+// to end.
 func TestPipelineStatsOverHTTP(t *testing.T) {
 	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
 	if err := ro.Attach(context.Background(), leaf(t, "d0")); err != nil {
@@ -460,10 +460,14 @@ func TestPipelineStatsOverHTTP(t *testing.T) {
 	if _, err := cli.Install(context.Background(), sg(t, "svc")); err != nil {
 		t.Fatal(err)
 	}
-	info, err := cli.PipelineStats(context.Background())
+	doc, err := cli.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if doc.Pipeline == nil {
+		t.Fatalf("orchestrator stats without a pipeline section: %+v", doc)
+	}
+	info := *doc.Pipeline
 	if info.Layer != "mdo" || info.Stats.Installs != 1 {
 		t.Fatalf("pipeline info: %+v", info)
 	}
@@ -474,11 +478,14 @@ func TestPipelineStatsOverHTTP(t *testing.T) {
 		t.Fatalf("gen invariant over the wire: %+v", info.Shards[0])
 	}
 
-	// A plain layer without pipeline stats answers 501.
-	lo, cli2 := startPair(t)
-	_ = lo
-	if _, err := cli2.PipelineStats(context.Background()); err == nil {
-		t.Fatal("plain layer must not report pipeline stats")
+	// A leaf layer has no mapping pipeline: the section is absent.
+	_, cli2 := startPair(t)
+	doc2, err := cli2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc2.Pipeline != nil {
+		t.Fatalf("leaf layer must not report pipeline stats: %+v", doc2.Pipeline)
 	}
 }
 
@@ -553,9 +560,13 @@ func TestTenantIdentityOverHTTP(t *testing.T) {
 	}
 
 	// Per-tenant accounting made the round trip too.
-	st, err := cli.AdmissionStats(ctx)
+	doc, err := cli.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	st := doc.Admission
+	if st == nil {
+		t.Fatal("stats without an admission section")
 	}
 	if st.Tenants["acme"].Deployed != 1 || st.Tenants["acme"].Submitted != 1 {
 		t.Fatalf("acme stats over the wire: %+v", st.Tenants)

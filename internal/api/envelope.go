@@ -6,9 +6,9 @@
 // The code is the wire form of the unify/admission sentinel taxonomy, so
 // clients map errors by NAME instead of reverse-engineering HTTP statuses or
 // string-matching messages; the optional domain field names the child domain
-// an infrastructure condition is about. The client decoder also accepts the
-// pre-envelope form ({"error": "message"}) and falls back to status-based
-// mapping, so version-skewed client/server pairs keep interoperating.
+// an infrastructure condition is about. The only error body without an
+// envelope is the mux's own plain-text 404 for a route the server does not
+// mount, which the client reads as unify.ErrUnknownService.
 package api
 
 import (
@@ -105,36 +105,32 @@ func errorStatus(err error) (int, string) {
 	}
 }
 
-// codeError maps a wire code back onto its sentinel, so errors.Is works
-// identically for local and remote layers. ok=false means the code is
-// unknown (newer server): the caller falls back to status mapping.
-func codeError(code, msg string) (error, bool) {
-	switch code {
-	case CodeDomainUnavailable:
-		return fmt.Errorf("%w: %s", unify.ErrDomainUnavailable, msg), true
-	case CodeUnknownDomain:
-		return fmt.Errorf("%w: %s", domain.ErrUnknown, msg), true
-	case CodeRejected:
-		return fmt.Errorf("%w: %s", unify.ErrRejected, msg), true
-	case CodeUnknownService:
-		return fmt.Errorf("%w: %s", unify.ErrUnknownService, msg), true
-	case CodeUnknownJob:
-		return fmt.Errorf("%w: %s", admission.ErrUnknownJob, msg), true
-	case CodeReadOnly:
-		return fmt.Errorf("%w: %s", ErrReadOnly, msg), true
-	case CodeBusy:
-		return fmt.Errorf("%w: %s", unify.ErrBusy, msg), true
-	case CodeQueueFull:
-		return fmt.Errorf("%w: %s", admission.ErrQueueFull, msg), true
-	case CodeNotCancelable:
-		return fmt.Errorf("%w: %s", admission.ErrNotCancelable, msg), true
-	case CodeCanceled:
-		return fmt.Errorf("%w: %s", admission.ErrCanceled, msg), true
-	case CodeEmptyView:
-		return fmt.Errorf("%w: %s", core.ErrEmptyView, msg), true
-	default:
-		return nil, false
+// codeSentinels maps every wire code that names a sentinel back onto it, so
+// errors.Is works identically for local and remote layers. unknown_trace
+// reads as ErrUnknownService: the ID names nothing the server recorded.
+var codeSentinels = map[string]error{
+	CodeBusy:              unify.ErrBusy,
+	CodeCanceled:          admission.ErrCanceled,
+	CodeDomainUnavailable: unify.ErrDomainUnavailable,
+	CodeEmptyView:         core.ErrEmptyView,
+	CodeNotCancelable:     admission.ErrNotCancelable,
+	CodeQueueFull:         admission.ErrQueueFull,
+	CodeReadOnly:          ErrReadOnly,
+	CodeRejected:          unify.ErrRejected,
+	CodeUnknownDomain:     domain.ErrUnknown,
+	CodeUnknownJob:        admission.ErrUnknownJob,
+	CodeUnknownService:    unify.ErrUnknownService,
+	CodeUnknownTrace:      unify.ErrUnknownService,
+}
+
+// codeError maps a wire code back onto its sentinel. The codes without one
+// (bad_request, not_implemented, internal) become a plain error carrying the
+// code and message.
+func codeError(code, msg string) error {
+	if sentinel, ok := codeSentinels[code]; ok {
+		return fmt.Errorf("%w: %s", sentinel, msg)
 	}
+	return fmt.Errorf("api: %s: %s", code, msg)
 }
 
 // writeError emits the typed envelope. domain may be empty.
@@ -152,41 +148,19 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 	s.writeError(w, status, code, err.Error(), "")
 }
 
-// remoteError maps an HTTP error response back onto the sentinel errors. It
-// prefers the typed envelope's code; a legacy string body (or an unknown
-// code) degrades to the historical status-based mapping.
+// remoteError maps an HTTP error response back onto the sentinel errors by
+// its envelope's code. A body without an envelope is not the API's: a 404
+// is the mux's answer for a route the server does not mount (no fleet, no
+// admission queue) and reads as ErrUnknownService; anything else is a plain
+// error naming the status.
 func remoteError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var env struct {
-		Error json.RawMessage `json:"error"`
+	var env ErrorEnvelope
+	if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
+		return codeError(env.Error.Code, env.Error.Message)
 	}
-	var code, msg string
-	if json.Unmarshal(raw, &env) == nil && len(env.Error) > 0 {
-		var body ErrorBody
-		if env.Error[0] == '{' && json.Unmarshal(env.Error, &body) == nil {
-			code, msg = body.Code, body.Message
-		} else {
-			_ = json.Unmarshal(env.Error, &msg) // pre-envelope server
-		}
+	if resp.StatusCode == http.StatusNotFound {
+		return fmt.Errorf("%w: %s", unify.ErrUnknownService, resp.Status)
 	}
-	if msg == "" {
-		msg = resp.Status
-	}
-	if err, ok := codeError(code, msg); ok {
-		return err
-	}
-	switch resp.StatusCode {
-	case http.StatusConflict:
-		return fmt.Errorf("%w: %s", unify.ErrRejected, msg)
-	case http.StatusLocked:
-		return fmt.Errorf("%w: %s", unify.ErrDomainUnavailable, msg)
-	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", unify.ErrUnknownService, msg)
-	case http.StatusServiceUnavailable:
-		return fmt.Errorf("%w: %s", unify.ErrBusy, msg)
-	case http.StatusTooManyRequests:
-		return fmt.Errorf("%w: %s", admission.ErrQueueFull, msg)
-	default:
-		return fmt.Errorf("api: remote error %d: %s", resp.StatusCode, msg)
-	}
+	return fmt.Errorf("api: remote error: %s", resp.Status)
 }

@@ -1,8 +1,8 @@
 // Fleet plane of the HTTP API: member lifecycle status and operator drains
 // (see internal/fleet). Mounted by WithFleet:
 //
-//	GET  /unify/fleet                  -> FleetInfo (per-domain states + counters)
-//	POST /unify/fleet/{domain}/drain   -> DrainResult (evict + failover, blocking)
+//	GET  /v1/unify/fleet                  -> FleetInfo (per-domain states + counters)
+//	POST /v1/unify/fleet/{domain}/drain   -> DrainResult (evict + failover, blocking)
 package api
 
 import (
@@ -14,14 +14,14 @@ import (
 	"github.com/unify-repro/escape/internal/fleet"
 )
 
-// FleetInfo is the payload of GET /unify/fleet.
+// FleetInfo is the payload of GET /v1/unify/fleet.
 type FleetInfo struct {
 	Layer   string               `json:"layer"`
 	Domains []fleet.DomainStatus `json:"domains"`
 	Stats   fleet.Stats          `json:"stats"`
 }
 
-// DrainResult is the payload of POST /unify/fleet/{domain}/drain: the drain
+// DrainResult is the payload of POST /v1/unify/fleet/{domain}/drain: the drain
 // blocks until the eviction and every re-embedding attempt finished, so the
 // result is final, not a progress snapshot.
 type DrainResult struct {
@@ -63,7 +63,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // FleetStatus fetches the remote fleet's member states and counters.
 func (c *Client) FleetStatus(ctx context.Context) (FleetInfo, error) {
 	var info FleetInfo
-	err := c.getJSON(ctx, "/unify/fleet", &info)
+	err := c.getJSON(ctx, unifyRoot+"/fleet", &info)
 	return info, err
 }
 
@@ -72,7 +72,7 @@ func (c *Client) FleetStatus(ctx context.Context) (FleetInfo, error) {
 // long as the installs it implies).
 func (c *Client) Drain(ctx context.Context, domainName string) (DrainResult, error) {
 	req, err := c.newRequest(ctx, http.MethodPost,
-		"/unify/fleet/"+url.PathEscape(domainName)+"/drain", nil)
+		unifyRoot+"/fleet/"+url.PathEscape(domainName)+"/drain", nil)
 	if err != nil {
 		return DrainResult{}, err
 	}

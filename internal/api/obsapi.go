@@ -29,13 +29,13 @@ type stageHistogramsProvider interface {
 	StageHistograms() map[string]obs.HistogramSnapshot
 }
 
-// Health is the payload of GET /unify/healthz: enough to decide readiness
+// Health is the payload of GET /v1/unify/healthz: enough to decide readiness
 // (shards and domains attached) and identify the build.
 type Health struct {
 	Status string `json:"status"`
 	Layer  string `json:"layer"`
-	// APIVersion advertises the northbound surface version this server
-	// mounts canonically (requests may still use unversioned alias paths).
+	// APIVersion advertises the northbound surface version: the one mount
+	// every Unify route of this server answers under (/v1/unify/...).
 	APIVersion    string  `json:"api_version,omitempty"`
 	GoVersion     string  `json:"go_version,omitempty"`
 	Module        string  `json:"module,omitempty"`
@@ -197,13 +197,13 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Trace fetches the span tree of a job ID (or raw trace ID).
 func (c *Client) Trace(ctx context.Context, id string) (obs.TraceData, error) {
 	var td obs.TraceData
-	err := c.getJSON(ctx, "/unify/trace/"+url.PathEscape(id), &td)
+	err := c.getJSON(ctx, unifyRoot+"/trace/"+url.PathEscape(id), &td)
 	return td, err
 }
 
 // Health fetches the remote readiness/identity probe.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.getJSON(ctx, "/unify/healthz", &h)
+	err := c.getJSON(ctx, unifyRoot+"/healthz", &h)
 	return h, err
 }

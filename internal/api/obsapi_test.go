@@ -222,7 +222,7 @@ func TestHealthzOverHTTP(t *testing.T) {
 	}
 }
 
-// TestMetricsTraceStorm hammers /metrics and /unify/trace/{id} while a
+// TestMetricsTraceStorm hammers /metrics and /v1/unify/trace/{id} while a
 // commit storm runs — the -race exercise for the whole observability plane.
 func TestMetricsTraceStorm(t *testing.T) {
 	_, _, _, cli := startObsServer(t)

@@ -1,22 +1,23 @@
 // The distributed read plane of the HTTP API: conditional (generation-keyed)
 // views, the long-poll watch stream, and the consolidated stats document.
 //
-//	GET /unify/view   -> NFFG, with a strong ETag derived from the layer's
-//	                     generation vector and X-Unify-Generation carrying the
-//	                     scalar commit epoch. If-None-Match on a matching tag
-//	                     answers 304 with an empty body — the steady-state
-//	                     remote View is one header-only round trip.
-//	GET /unify/watch  -> long-poll for generation bumps: ?from=<gen> blocks
-//	                     until the layer's generation exceeds it (200 + a
-//	                     WatchEvent carrying the full sealed view), or the
-//	                     ?timeout= window expires (202 + a heartbeat event
-//	                     naming the current version, no view). Reconnecting
-//	                     with the last seen generation resumes the stream;
-//	                     duplicates are possible (dedupe by ETag), losses are
-//	                     not.
-//	GET /unify/stats  -> StatsDoc: pipeline + admission + southbound + fleet
-//	                     (+ replica sync state) in one document. The split
-//	                     endpoints stay as aliases.
+//	GET /v1/unify/view   -> NFFG, with a strong ETag derived from the layer's
+//	                        generation vector and X-Unify-Generation carrying
+//	                        the scalar commit epoch. If-None-Match on a matching
+//	                        tag answers 304 with an empty body — the
+//	                        steady-state remote View is one header-only round
+//	                        trip.
+//	GET /v1/unify/watch  -> long-poll for generation bumps: ?from=<gen> blocks
+//	                        until the layer's generation exceeds it (200 + a
+//	                        WatchEvent carrying the full sealed view), or the
+//	                        ?timeout= window expires (202 + a heartbeat event
+//	                        naming the current version, no view). Reconnecting
+//	                        with the last seen generation resumes the stream;
+//	                        duplicates are possible (dedupe by ETag), losses
+//	                        are not.
+//	GET /v1/unify/stats  -> StatsDoc: pipeline + admission + southbound + fleet
+//	                        (+ replica sync state) in one document — the one
+//	                        stats endpoint.
 //
 // The client side mirrors it: Client.View holds one sealed cached graph
 // keyed by the server's ETag and revalidates with If-None-Match, and
@@ -37,10 +38,13 @@ import (
 )
 
 const (
-	// APIVersion is the northbound surface version: routes mount canonically
-	// under /v1/unify/... (unversioned paths remain as aliases), every
-	// response carries it in VersionHeader, and /unify/healthz advertises it.
+	// APIVersion is the northbound surface version: every Unify route mounts
+	// once under /v1/unify/..., every response carries it in VersionHeader,
+	// and /v1/unify/healthz advertises it.
 	APIVersion = "v1"
+	// unifyRoot is the one mount of the Unify routes, shared by the server's
+	// mux and every client path.
+	unifyRoot = "/" + APIVersion + "/unify"
 	// VersionHeader carries the API version on every request and response.
 	VersionHeader = "X-Unify-API-Version"
 	// GenerationHeader carries the scalar commit epoch a served view is at
@@ -89,7 +93,7 @@ type WatchEvent struct {
 	Services []string `json:"services,omitempty"`
 }
 
-// StatsDoc is the payload of GET /unify/stats: every stats surface the layer
+// StatsDoc is the payload of GET /v1/unify/stats: every stats surface the layer
 // exposes, in one round trip. Absent sections mean the layer (or server
 // wiring) doesn't have them; southbound counters ride inside Pipeline.Stats
 // for orchestrators and in Southbound for leaf layers that only program
@@ -285,16 +289,16 @@ func (c *Client) ViewCacheStats() ClientViewStats {
 // one sealed cached graph keyed by the server's strong ETag and revalidates
 // with If-None-Match: a 304 answer returns the SHARED cached snapshot with no
 // body transferred (Copy before mutating, as with any layer's view). Against
-// a pre-v1 server it degrades to the full fetch.
+// a layer that does not version its views it degrades to the full fetch.
 func (c *Client) View(ctx context.Context) (*nffg.NFFG, error) {
 	v, _, err := c.ViewVersioned(ctx)
 	return v, err
 }
 
 // ViewVersioned is View plus the server-assigned version (zero-valued against
-// a server that doesn't version its views).
+// a layer that does not version its views).
 func (c *Client) ViewVersioned(ctx context.Context) (*nffg.NFFG, core.ViewVersion, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/unify/view", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, unifyRoot+"/view", nil)
 	if err != nil {
 		return nil, core.ViewVersion{}, err
 	}
@@ -358,7 +362,7 @@ func (e *protocolError) Error() string { return e.msg }
 // ETag-equal events are duplicates to skip. The call is governed only by ctx
 // (plus the server-side window) — it rides the long transport.
 func (c *Client) WatchOnce(ctx context.Context, from uint64, window time.Duration) (WatchEvent, bool, error) {
-	path := "/unify/watch?from=" + strconv.FormatUint(from, 10)
+	path := unifyRoot + "/watch?from=" + strconv.FormatUint(from, 10)
 	if window > 0 {
 		path += "&timeout=" + window.String()
 	}
@@ -386,34 +390,9 @@ func (c *Client) WatchOnce(ctx context.Context, from uint64, window time.Duratio
 	}
 }
 
-// Stats fetches the consolidated stats document in one round trip. Against an
-// older server without /unify/stats it reassembles the document from the
-// split endpoints (pipeline, admission), so callers need no version probe.
+// Stats fetches the consolidated stats document in one round trip.
 func (c *Client) Stats(ctx context.Context) (StatsDoc, error) {
 	var doc StatsDoc
-	err := c.getJSON(ctx, "/unify/stats", &doc)
-	if err == nil {
-		return doc, nil
-	}
-	if ctx.Err() != nil {
-		return doc, err
-	}
-	// Older server: the route is unknown there (404 maps to
-	// unify.ErrUnknownService). Degrade to the split endpoints; each section
-	// stays absent if its endpoint is missing too.
-	doc = StatsDoc{Layer: c.id}
-	any := false
-	if info, perr := c.PipelineStats(ctx); perr == nil {
-		doc.Layer = info.Layer
-		doc.Pipeline = &info
-		any = true
-	}
-	if st, aerr := c.AdmissionStats(ctx); aerr == nil {
-		doc.Admission = &st
-		any = true
-	}
-	if !any {
-		return doc, err
-	}
-	return doc, nil
+	err := c.getJSON(ctx, unifyRoot+"/stats", &doc)
+	return doc, err
 }

@@ -8,14 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/unify-repro/escape/internal/admission"
 	"github.com/unify-repro/escape/internal/core"
+	"github.com/unify-repro/escape/internal/fleet"
 	"github.com/unify-repro/escape/internal/nffg"
 	"github.com/unify-repro/escape/internal/unify"
 )
@@ -96,7 +96,7 @@ func TestConditionalViewOverHTTP(t *testing.T) {
 
 	// The raw wire shape: ETag + generation headers on 200, empty-body 304
 	// on If-None-Match, full 200 on a stale validator.
-	resp, err := http.Get(cli.base + "/unify/view")
+	resp, err := http.Get(cli.base + "/v1/unify/view")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestConditionalViewOverHTTP(t *testing.T) {
 		t.Fatal("plain GET must carry the view")
 	}
 	for _, inm := range []string{etag, "*", `"stale", ` + etag} {
-		req, _ := http.NewRequest(http.MethodGet, cli.base+"/unify/view", nil)
+		req, _ := http.NewRequest(http.MethodGet, cli.base+"/v1/unify/view", nil)
 		req.Header.Set("If-None-Match", inm)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -123,7 +123,7 @@ func TestConditionalViewOverHTTP(t *testing.T) {
 			t.Fatalf("304 must restate the validator: %q", resp.Header.Get("ETag"))
 		}
 	}
-	req, _ := http.NewRequest(http.MethodGet, cli.base+"/unify/view", nil)
+	req, _ := http.NewRequest(http.MethodGet, cli.base+"/v1/unify/view", nil)
 	req.Header.Set("If-None-Match", `"deadbeef"`)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -226,7 +226,7 @@ func TestWatchStreamResume(t *testing.T) {
 func TestErrorEnvelopeOnTheWire(t *testing.T) {
 	_, cli := startPair(t)
 
-	resp, err := http.Post(cli.base+"/unify/services", "application/json", bytes.NewBufferString("{not json"))
+	resp, err := http.Post(cli.base+"/v1/unify/services", "application/json", bytes.NewBufferString("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestErrorEnvelopeOnTheWire(t *testing.T) {
 		t.Fatalf("bad request envelope: %d %+v", resp.StatusCode, env)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, cli.base+"/unify/services/nope", nil)
+	req, _ := http.NewRequest(http.MethodDelete, cli.base+"/v1/unify/services/nope", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -257,61 +257,79 @@ func TestErrorEnvelopeOnTheWire(t *testing.T) {
 	if err := cli.Remove(context.Background(), "nope"); !errors.Is(err, unify.ErrUnknownService) {
 		t.Fatalf("client mapping: %v", err)
 	}
+}
 
-	// A legacy string body still maps through the status fallback.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" || r.URL.Path == "/unify/healthz" {
-			fmt.Fprintf(w, `{"status":"ok","layer":"legacy"}`)
-			return
-		}
-		w.WriteHeader(http.StatusConflict)
-		fmt.Fprintf(w, `{"error":"old-style rejection"}`)
-	}))
-	defer legacy.Close()
-	lcli, err := Dial("legacy", legacy.URL)
+// TestVersionedMounts: with admission and fleet wired, every one of the 15
+// Unify routes answers under /v1 and nowhere else — its unversioned path is
+// the mux's 404 — every response, errors included, carries
+// X-Unify-API-Version, and healthz names the version.
+func TestVersionedMounts(t *testing.T) {
+	ctx := context.Background()
+	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
+	fc := fleet.New(fleet.Config{Orchestrator: ro})
+	if err := fc.Add(ctx, fleetLeaf(t, "west", 0)); err != nil {
+		t.Fatal(err)
+	}
+	q := admission.New(ro, admission.Options{})
+	t.Cleanup(q.Close)
+	srv := NewServer(ro, nil).WithAdmission(q).WithFleet(fc)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lcli.Install(context.Background(), sg(t, "svc")); !errors.Is(err, unify.ErrRejected) {
-		t.Fatalf("legacy body mapping: %v", err)
-	}
-}
+	t.Cleanup(srv.Close)
+	base := "http://" + addr
 
-// TestVersionedMounts: every route answers under /v1 and unversioned alike,
-// stamps X-Unify-API-Version, and healthz names the version.
-func TestVersionedMounts(t *testing.T) {
-	ctx := context.Background()
-	_, cli := startPair(t)
-
-	var etags []string
-	for _, p := range []string{"/unify/view", "/v1/unify/view"} {
-		resp, err := http.Get(cli.base + p)
+	do := func(method, path string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(method, base+path, nil)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := readAll(resp)
-		if resp.StatusCode != http.StatusOK || len(body) == 0 {
-			t.Fatalf("%s: %d", p, resp.StatusCode)
+		readAll(resp)
+		return resp
+	}
+	routes := []struct{ method, path string }{
+		{http.MethodGet, "/unify/view"},
+		{http.MethodGet, "/unify/watch?timeout=1ms"},
+		{http.MethodGet, "/unify/capabilities"},
+		{http.MethodGet, "/unify/services"},
+		{http.MethodPost, "/unify/services"},
+		{http.MethodDelete, "/unify/services/nope"},
+		{http.MethodGet, "/unify/stats"},
+		{http.MethodGet, "/unify/healthz"},
+		{http.MethodGet, "/unify/jobs"},
+		{http.MethodGet, "/unify/jobs/nope"},
+		{http.MethodGet, "/unify/jobs/nope/wait?timeout=1ms"},
+		{http.MethodDelete, "/unify/jobs/nope"},
+		{http.MethodGet, "/unify/trace/nope"},
+		{http.MethodGet, "/unify/fleet"},
+		{http.MethodPost, "/unify/fleet/nope/drain"},
+	}
+	for _, rt := range routes {
+		// A mounted route answers JSON (its payload or the error envelope);
+		// the mux's own 404 for an unmounted path is plain text.
+		resp := do(rt.method, "/v1"+rt.path)
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s /v1%s: %d %q, want a mounted route", rt.method, rt.path, resp.StatusCode, ct)
 		}
 		if got := resp.Header.Get(VersionHeader); got != APIVersion {
-			t.Fatalf("%s: version header %q", p, got)
+			t.Errorf("%s /v1%s: version header %q", rt.method, rt.path, got)
 		}
-		etags = append(etags, resp.Header.Get("ETag"))
-	}
-	if etags[0] == "" || etags[0] != etags[1] {
-		t.Fatalf("aliases must serve the same version: %v", etags)
+		resp = do(rt.method, rt.path)
+		if resp.StatusCode != http.StatusNotFound || strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+			t.Errorf("%s %s: %d, want the mux's 404 (no unversioned mount)", rt.method, rt.path, resp.StatusCode)
+		}
+		if got := resp.Header.Get(VersionHeader); got != APIVersion {
+			t.Errorf("%s %s: version header %q on the 404", rt.method, rt.path, got)
+		}
 	}
 
-	// Errors carry the header too (the middleware wraps everything).
-	resp, err := http.Get(cli.base + "/v1/unify/jobs/nope")
+	cli, err := Dial("mdo", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	readAll(resp)
-	if resp.Header.Get(VersionHeader) != APIVersion {
-		t.Fatal("error responses must be versioned")
-	}
-
 	h, err := cli.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -322,8 +340,7 @@ func TestVersionedMounts(t *testing.T) {
 }
 
 // TestConsolidatedStatsOverHTTP: one round trip returns pipeline, shard and
-// view-version state; against a server without the consolidated route the
-// client reassembles the document from the split endpoints.
+// view-version state.
 func TestConsolidatedStatsOverHTTP(t *testing.T) {
 	ctx := context.Background()
 	ro := core.NewResourceOrchestrator(core.Config{ID: "mdo"})
@@ -356,33 +373,6 @@ func TestConsolidatedStatsOverHTTP(t *testing.T) {
 	}
 	if doc.Replica != nil {
 		t.Fatal("a writer has no replica section")
-	}
-
-	// Version-skew fallback: a front that 404s the consolidated route but
-	// proxies everything else models the previous API generation.
-	target, err := url.Parse("http://" + addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httputil.NewSingleHostReverseProxy(target)
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/unify/stats" || r.URL.Path == "/v1/unify/stats" {
-			http.NotFound(w, r)
-			return
-		}
-		proxy.ServeHTTP(w, r)
-	}))
-	defer old.Close()
-	ocli, err := Dial("old", old.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	odoc, err := ocli.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if odoc.Pipeline == nil || odoc.Pipeline.Stats.Installs != 1 {
-		t.Fatalf("fallback must reassemble from split endpoints: %+v", odoc)
 	}
 }
 
@@ -453,7 +443,7 @@ func TestReplicaFollowsWriter(t *testing.T) {
 	if err := sg(t, "other").EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post("http://"+raddr+"/unify/services", "application/json", &buf)
+	resp, err := http.Post("http://"+raddr+"/v1/unify/services", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type replicaState struct {
 }
 
 // ReplicaStats is the replica's sync-state snapshot, surfaced on
-// /unify/healthz, /unify/stats and /metrics.
+// /v1/unify/healthz, /v1/unify/stats and /metrics.
 type ReplicaStats struct {
 	Writer string `json:"writer"`
 	// Synced reports whether the replica holds a view at all.
@@ -69,7 +69,7 @@ type Replica struct {
 	caps  atomic.Pointer[[]domain.Capability]
 
 	// notif wakes local WaitVersion callers (chained watch streams: a
-	// replica serves /unify/watch too, so replicas can stack).
+	// replica serves /v1/unify/watch too, so replicas can stack).
 	notifMu sync.Mutex
 	notifCh chan struct{}
 

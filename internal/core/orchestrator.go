@@ -58,10 +58,9 @@ type ResourceOrchestrator struct {
 	journal Journal
 
 	// Read-path configuration (see readcache.go): noReadCache disables the
-	// generation-keyed cut/view caches, conservativeEstimate restores the
-	// pre-reverse-index shard estimator. Both exist as measurable baselines.
-	noReadCache          bool
-	conservativeEstimate bool
+	// generation-keyed cut/view caches, the measurable baseline of the
+	// cached read path.
+	noReadCache bool
 
 	// mu guards the registration-time metadata (dir, owner, contrib/index) —
 	// all replaced copy-on-write so planners read snapshots lock-free — plus
@@ -232,10 +231,6 @@ type Config struct {
 	// re-merges and re-virtualizes. The measurable baseline for the cached
 	// read path (BenchmarkE9ReadPath) — production configs leave it off.
 	NoReadCache bool
-	// ConservativeShardEstimate restores the pre-reverse-index shard-set
-	// estimator, where any unpinned NF makes a request global. The baseline
-	// for BenchmarkE9GlobalNarrowing — production configs leave it off.
-	ConservativeShardEstimate bool
 	// Journal, when set, receives a write-ahead record for every state
 	// mutation (attach, commit, release, deploy completion) so the DoV and
 	// service table survive a crash (see internal/journal and Restore). A
@@ -266,25 +261,24 @@ func NewResourceOrchestrator(cfg Config) *ResourceOrchestrator {
 		cfg.ShardKey = ShardPerDomain
 	}
 	return &ResourceOrchestrator{
-		id:                   cfg.ID,
-		virt:                 cfg.Virtualizer,
-		mapper:               cfg.Mapper,
-		reg:                  domain.NewRegistry(),
-		shardKey:             cfg.ShardKey,
-		journal:              cfg.Journal,
-		noReadCache:          cfg.NoReadCache,
-		conservativeEstimate: cfg.ConservativeShardEstimate,
-		dir:                  newShardDirectory(),
-		owner:                map[nffg.ID]string{},
-		services:             map[string]*serviceRecord{},
-		nfOwner:              map[nffg.ID]string{},
-		hopOwner:             map[string]string{},
-		contrib:              map[string]shardContrib{},
-		index:                map[nffg.ID][]string{},
-		departed:             map[nffg.ID]string{},
-		lastGen:              map[string]uint64{},
-		viewTimeout:          cfg.ViewTimeout,
-		viewRetries:          cfg.ViewRetries,
+		id:          cfg.ID,
+		virt:        cfg.Virtualizer,
+		mapper:      cfg.Mapper,
+		reg:         domain.NewRegistry(),
+		shardKey:    cfg.ShardKey,
+		journal:     cfg.Journal,
+		noReadCache: cfg.NoReadCache,
+		dir:         newShardDirectory(),
+		owner:       map[nffg.ID]string{},
+		services:    map[string]*serviceRecord{},
+		nfOwner:     map[nffg.ID]string{},
+		hopOwner:    map[string]string{},
+		contrib:     map[string]shardContrib{},
+		index:       map[nffg.ID][]string{},
+		departed:    map[nffg.ID]string{},
+		lastGen:     map[string]uint64{},
+		viewTimeout: cfg.ViewTimeout,
+		viewRetries: cfg.ViewRetries,
 	}
 }
 
@@ -701,8 +695,8 @@ func (ro *ResourceOrchestrator) ShardSet(req *nffg.NFFG) []string {
 	for _, id := range req.NFIDs() {
 		host := req.NFs[id].Host
 		if host == "" {
-			if ro.conservativeEstimate || len(req.SAPs) == 0 {
-				return nil // no anchor to narrow by (or legacy estimator)
+			if len(req.SAPs) == 0 {
+				return nil // no anchor to narrow by
 			}
 			continue // unpinned: bounded by the SAP-anchored cut + escalation
 		}

@@ -87,7 +87,7 @@ func BenchmarkMerge(b *testing.B) {
 }
 
 // BenchmarkJSONCodec measures the view codec on the read path: EncodeJSON of
-// a view-sized graph (the server side of every full GET /unify/view) and
+// a view-sized graph (the server side of every full GET /v1/unify/view) and
 // DecodeJSON of its bytes (the client side).
 func BenchmarkJSONCodec(b *testing.B) {
 	g := benchGraph("d0", 300)
